@@ -13,8 +13,9 @@ colour* register and the Sync Gadget's sample buffer; those live in
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -95,9 +96,16 @@ class AsyncNodeState(NodeArrayState):
         the two samples disagreed), adopted at the commit step.
     terminated:
         Nodes that finished the endgame and froze their colour.
-    sync_samples:
-        Per-node list of aged real-time samples collected during the
-        current Sync-Gadget sub-phase (cleared at each jump step).
+    schedule:
+        The compiled :class:`~repro.protocols.schedule.PhaseSchedule`
+        the protocol runs (immutable, shared by copies).
+    buffers:
+        Per-node :class:`~repro.protocols.sync_gadget.SyncSampleBuffer`
+        of aged real-time samples collected during the current
+        Sync-Gadget sub-phase (cleared at each jump step).
+    pending_targets:
+        Targets of ticks whose responses are still in flight (the
+        delayed-response path of the continuous engine).
     """
 
     working_time: np.ndarray = None
@@ -105,7 +113,9 @@ class AsyncNodeState(NodeArrayState):
     bit: np.ndarray = None
     intermediate: np.ndarray = None
     terminated: np.ndarray = None
-    sync_samples: List[list] = field(default_factory=list)
+    schedule: Any = None
+    buffers: List[Any] = field(default_factory=list)
+    pending_targets: Dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         super().__post_init__()
@@ -120,12 +130,17 @@ class AsyncNodeState(NodeArrayState):
             self.intermediate = np.full(n, NO_COLOR, dtype=np.int64)
         if self.terminated is None:
             self.terminated = np.zeros(n, dtype=bool)
-        if not self.sync_samples:
-            self.sync_samples = [[] for _ in range(n)]
+        if not self.buffers:
+            # Imported here: the protocols package imports this module.
+            from ..protocols.sync_gadget import SyncSampleBuffer
+
+            self.buffers = [SyncSampleBuffer() for _ in range(n)]
         for name in ("working_time", "real_time", "bit", "intermediate", "terminated"):
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise ConfigurationError(f"{name} must have shape ({n},), got {arr.shape}")
+        if len(self.buffers) != n:
+            raise ConfigurationError(f"buffers must hold {n} entries, got {len(self.buffers)}")
 
     def working_time_spread(self, quantile: float = 1.0) -> int:
         """Spread of working times among active nodes.
@@ -152,5 +167,7 @@ class AsyncNodeState(NodeArrayState):
             bit=self.bit.copy(),
             intermediate=self.intermediate.copy(),
             terminated=self.terminated.copy(),
-            sync_samples=[list(s) for s in self.sync_samples],
+            schedule=self.schedule,
+            buffers=[dataclasses.replace(b, offsets=list(b.offsets)) for b in self.buffers],
+            pending_targets=dict(self.pending_targets),
         )

@@ -69,7 +69,9 @@ class ContinuousEngine:
 
         ``parallel_time`` in the result is the continuous clock time at
         which the stop condition was first observed; ``rounds`` counts
-        processed tick events.
+        processed tick events.  *max_time* defaults to the protocol's
+        :meth:`~repro.protocols.base.SequentialProtocol.default_parallel_time`,
+        else ``50 ln n``.
         """
         rng = as_generator(seed)
         colors, k = materialize_initial(initial, rng)
@@ -79,7 +81,9 @@ class ContinuousEngine:
                 f"initial configuration has {n} nodes but topology has {self.topology.n}"
             )
         if max_time is None:
-            max_time = 50.0 * max(np.log(n), 1.0)
+            max_time = self.protocol.default_parallel_time(n)
+            if max_time is None:
+                max_time = 50.0 * max(np.log(n), 1.0)
         if check_every is None:
             check_every = n
         check_every = max(1, int(check_every))

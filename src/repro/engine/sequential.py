@@ -56,8 +56,10 @@ class SequentialEngine:
         initial:
             Counts vector (random node assignment) or explicit colours.
         max_ticks:
-            Tick budget; default ``50 * n * ln(n)`` which generously
-            covers every `Theta(log n)`-parallel-time protocol here.
+            Tick budget; default ``n`` times the protocol's
+            :meth:`~repro.protocols.base.SequentialProtocol.default_parallel_time`,
+            else ``50 * n * ln(n)``, which generously covers every
+            `Theta(log n)`-parallel-time protocol here.
         stop:
             Counts-level predicate, evaluated every *check_every* ticks.
         record_trace / trace_every_parallel:
@@ -76,7 +78,8 @@ class SequentialEngine:
                 f"initial configuration has {n} nodes but topology has {self.topology.n}"
             )
         if max_ticks is None:
-            max_ticks = int(50 * n * max(np.log(n), 1.0))
+            budget = self.protocol.default_parallel_time(n)
+            max_ticks = int(50 * n * max(np.log(n), 1.0)) if budget is None else int(budget * n)
         if check_every is None:
             check_every = n
         check_every = max(1, int(check_every))

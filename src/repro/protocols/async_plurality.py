@@ -22,36 +22,43 @@ Structure (Section 3.1):
   terminates, w.h.p. (Section 3.2) — the run records both event times
   so experiment T9 can check exactly that.
 
-Two realisations:
+The instantaneous tick rules are written once, in :func:`tick_block`
+(a plain-Python loop over list state and a presampled target block).
+Two realisations drive it:
 
 :class:`AsyncPluralityConsensus`
-    A self-contained optimised runner for the sequential model (Python
-    scalar hot loop over list state, batched RNG).  This is what the
-    benchmarks drive; ``n = 10^4`` runs take seconds.
+    A self-contained runner for the sequential model on ``K_n`` with
+    the experiments' extras (clock skew, spread and trace snapshots,
+    first-termination bookkeeping).  This is what the benchmarks drive;
+    ``n = 10^4`` runs take seconds.
 :class:`AsyncPluralityProtocol`
-    The same per-tick semantics behind the generic
-    :class:`~repro.protocols.base.SequentialProtocol` interface, so the
-    protocol also runs on the generic sequential engine and on the
-    continuous-time engine *with response delays* (experiment T12).
+    The generic :class:`~repro.protocols.base.SequentialProtocol`
+    interface, so the protocol runs on the sequential and continuous
+    engines on any topology; its ``seq_tick_batch`` applies each engine
+    block through :func:`tick_block`, and its per-tick
+    ``tick_targets``/``tick_apply`` serve the continuous engine *with
+    response delays* (experiment T12) and the reference loop.
     A distribution-level agreement test between the two realisations
-    lives in ``tests/test_async_cross_validation.py``.
+    is ``tests/test_async_protocol_adapter.py::TestCrossValidation``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..api.registry import ParamSpec, register_protocol
-from ..core.colors import ColorConfiguration, assignment_from_counts
-from ..core.exceptions import ConfigurationError, ProtocolError
+from ..core.colors import ColorConfiguration
+from ..core.exceptions import ConfigurationError
 from ..core.results import RunResult, Trace
 from ..core.rng import SeedLike, as_generator
 from ..core.state import NO_COLOR, AsyncNodeState
-from ..engine.base import build_result
+from ..engine.base import build_result, materialize_initial
+from ..graphs.complete import CompleteGraph
 from ..graphs.topology import Topology
 from .base import SequentialProtocol
 from .schedule import (
@@ -65,8 +72,16 @@ from .schedule import (
 )
 from .sync_gadget import SyncSampleBuffer, jump_target
 
-__all__ = ["ClockSkew", "AsyncPluralityConsensus", "AsyncPluralityProtocol"]
+__all__ = [
+    "ClockSkew",
+    "AsyncPluralityConsensus",
+    "AsyncPluralityProtocol",
+    "schedule_budget",
+    "tick_block",
+]
 
+
+_NO_TARGETS = np.empty(0, dtype=np.int64)
 
 @dataclass(frozen=True)
 class ClockSkew:
@@ -121,51 +136,121 @@ class _ScheduleParams:
     sync_enabled: bool = True
 
     def compile(self, n: int) -> PhaseSchedule:
-        return PhaseSchedule.compile(
-            n,
-            delta_factor=self.delta_factor,
-            phases=self.phases,
-            phase_factor=self.phase_factor,
-            phase_offset=self.phase_offset,
-            bp_blocks=self.bp_blocks,
-            min_sync_blocks=self.min_sync_blocks,
-            sync_samples=self.sync_samples,
-            endgame_factor=self.endgame_factor,
-            sync_enabled=self.sync_enabled,
-        )
+        return PhaseSchedule.compile(n, **dataclasses.asdict(self))
+
+
+def schedule_budget(schedule: PhaseSchedule) -> float:
+    """Default parallel-time budget of a run on *schedule*.
+
+    Every node needs ``total_length`` own ticks; all clocks reach ``T``
+    ticks within ``T + O(log n)`` parallel time w.h.p., so half the
+    schedule again plus ``20 ln n`` covers every node with slack.
+    """
+    return 1.5 * schedule.total_length + 20.0 * max(math.log(schedule.n), 1.0)
+
+
+def tick_block(
+    schedule: PhaseSchedule, actors: Sequence[int], first: Sequence[int], second: Sequence[int],
+    colors: List[int], counts: List[int], wt: List[int], rt: List[int], bit: List[bool],
+    inter: List[int], terminated: List[bool], buffers: Sequence[SyncSampleBuffer], buffer_ids: Sequence[int],
+) -> List[int]:
+    """Apply one instantaneous tick per entry of *actors*, in order.
+
+    The protocol's one instantaneous tick body.  Tick ``i`` is node
+    ``actors[i]`` with presampled targets ``first[i]``, ``second[i]``;
+    it reads the first, both or neither as its action needs, so it is
+    bit-identical to the per-tick loop that draws only those, on the
+    same draws.  The per-node lists are indexed by the ids in
+    *actors*/*first*/*second* and updated in place (only actors' rows
+    are written); node ``u``'s Sync buffer is ``buffers[buffer_ids[u]]``
+    and *counts* tracks colour moves.  Returns the block positions of
+    the ticks that terminated their node, in order.
+    """
+    actions = schedule.action_codes
+    part_one = schedule.part_one_length
+    total = schedule.total_length
+    phase_len = schedule.phase_length
+    sync_starts = schedule.sync_starts
+    finished: List[int] = []
+    for i, u in enumerate(actors):
+        if terminated[u]:
+            continue
+        w = wt[u]
+        if w < part_one:
+            a = actions[w]
+            if a == ACTION_NOP:  # the commonest slot, so tested first
+                pass
+            elif a == ACTION_BP:
+                if not bit[u]:
+                    v = first[i]
+                    if bit[v]:
+                        c = colors[v]
+                        old = colors[u]
+                        if c != old:
+                            counts[old] -= 1
+                            counts[c] += 1
+                            colors[u] = c
+                        bit[u] = True
+            elif a == ACTION_SYNC_SAMPLE:
+                buffers[buffer_ids[u]].collect(w // phase_len, rt[first[i]], rt[u])
+            elif a == ACTION_TC_SAMPLE:
+                c = colors[first[i]]
+                inter[u] = c if c == colors[second[i]] else NO_COLOR
+            elif a == ACTION_TC_COMMIT:
+                c = inter[u]
+                if c != NO_COLOR:
+                    old = colors[u]
+                    if c != old:
+                        counts[old] -= 1
+                        counts[c] += 1
+                        colors[u] = c
+                    bit[u] = True
+                else:
+                    bit[u] = False
+                inter[u] = NO_COLOR
+            else:  # ACTION_SYNC_JUMP
+                phase = w // phase_len
+                buffer = buffers[buffer_ids[u]]
+                target = jump_target(buffer, phase, rt[u], sync_starts[phase])
+                buffer.clear()
+                if target is not None:
+                    wt[u] = target
+                    rt[u] += 1
+                    continue
+            wt[u] = w + 1
+            rt[u] += 1
+        else:
+            # Endgame: plain asynchronous Two-Choices, then freeze.
+            c = colors[first[i]]
+            if c == colors[second[i]]:
+                old = colors[u]
+                if c != old:
+                    counts[old] -= 1
+                    counts[c] += 1
+                    colors[u] = c
+            w += 1
+            wt[u] = w
+            rt[u] += 1
+            if w >= total:
+                terminated[u] = True
+                finished.append(i)
+    return finished
 
 
 class AsyncPluralityConsensus:
-    """Optimised sequential-model runner for the phased protocol.
+    """Sequential-model runner for the phased protocol on ``K_n``.
 
-    All keyword arguments parameterise the
-    :class:`~repro.protocols.schedule.PhaseSchedule` (see DESIGN.md §4);
-    ``sync_enabled=False`` disables the Sync Gadget for the T7 ablation.
+    The keyword arguments parameterise the
+    :class:`~repro.protocols.schedule.PhaseSchedule` exactly as for the
+    registered ``async-plurality`` protocol (``delta_factor``,
+    ``phases``, ``phase_factor``, ``phase_offset``, ``bp_blocks``,
+    ``min_sync_blocks``, ``sync_samples``, ``endgame_factor``,
+    ``sync_enabled``; see DESIGN.md §4); ``sync_enabled=False``
+    disables the Sync Gadget for the T7 ablation.
     """
 
-    def __init__(
-        self,
-        delta_factor: float = 1.0,
-        phases: Optional[int] = None,
-        phase_factor: float = 3.0,
-        phase_offset: int = 2,
-        bp_blocks: int = 2,
-        min_sync_blocks: int = 2,
-        sync_samples: Optional[int] = None,
-        endgame_factor: float = 14.0,
-        sync_enabled: bool = True,
-    ):
-        self.params = _ScheduleParams(
-            delta_factor=delta_factor,
-            phases=phases,
-            phase_factor=phase_factor,
-            phase_offset=phase_offset,
-            bp_blocks=bp_blocks,
-            min_sync_blocks=min_sync_blocks,
-            sync_samples=sync_samples,
-            endgame_factor=endgame_factor,
-            sync_enabled=sync_enabled,
-        )
+    def __init__(self, **schedule_kwargs):
+        self.params = _ScheduleParams(**schedule_kwargs)
 
     def schedule_for(self, n: int) -> PhaseSchedule:
         """The compiled working-time schedule used for *n* nodes."""
@@ -211,16 +296,11 @@ class AsyncPluralityConsensus:
             Parallel time is then measured against the aggregate rate.
         """
         rng = as_generator(seed)
-        colors_arr, k = _materialize(initial, rng)
+        colors_arr, k = materialize_initial(initial, rng)
         n = colors_arr.size
         if n < 2:
             raise ConfigurationError("the protocol needs at least 2 nodes")
         schedule = self.schedule_for(n)
-        part_one = schedule.part_one_length
-        total_wt = schedule.total_length
-        phase_len = schedule.phase_length
-        actions = schedule.actions.tolist()
-        sync_starts = schedule.sync_starts
         delta = schedule.delta
 
         skew = skew if skew is not None else ClockSkew()
@@ -229,11 +309,9 @@ class AsyncPluralityConsensus:
         tick_rate = skew.total_rate(n)
         slow_count = int(round(skew.fraction * n))
         if max_parallel_time is None:
-            # Every node needs `total_wt` own ticks; all clocks reach T
-            # ticks within T + O(log n) parallel time w.h.p.  Slow nodes
-            # need proportionally longer.
+            # Slow nodes need proportionally longer.
             slack = 1.0 / min(skew.rate, 1.0) if slow_count else 1.0
-            max_parallel_time = (1.5 * total_wt + 20.0 * max(math.log(n), 1.0)) * slack
+            max_parallel_time = schedule_budget(schedule) * slack
         max_ticks = int(max_parallel_time * tick_rate)
 
         # Hot-loop state lives in plain Python lists: scalar list access
@@ -247,6 +325,7 @@ class AsyncPluralityConsensus:
         inter: List[int] = [NO_COLOR] * n
         terminated: List[bool] = [False] * n
         buffers = [SyncSampleBuffer() for _ in range(n)]
+        node_ids = range(n)
 
         trace = Trace() if record_trace else None
         if trace is not None:
@@ -257,7 +336,6 @@ class AsyncPluralityConsensus:
         spread_stride = max(1, int(spread_every_parallel * tick_rate))
         next_spread_tick = spread_stride
 
-        ticks = 0
         alive = n
         first_consensus_tick: Optional[int] = None
         first_termination_tick: Optional[int] = None
@@ -267,10 +345,7 @@ class AsyncPluralityConsensus:
         # termination when comparing the two (Section 3.2).
         check_stride = max(1, int(tick_rate) // 4)
         batch = 8192
-        # Neighbour-draw buffer: draws in [0, n-2], shifted around self.
-        nbr = rng.integers(0, n - 1, size=4 * batch).tolist()
-        nbr_ptr = 0
-        nbr_len = len(nbr)
+        graph = CompleteGraph(n)
 
         if slow_count and not skew.is_uniform:
             # Two-tier selection: a tick belongs to the slow group with
@@ -283,104 +358,38 @@ class AsyncPluralityConsensus:
             slow_ids = fast_ids = None
             p_slow = 0.0
 
+        ticks = 0
         stop = False
         while not stop and alive > 0 and ticks < max_ticks:
             if slow_ids is None:
-                picks = rng.integers(0, n, size=batch).tolist()
+                picks = rng.integers(0, n, size=batch)
             else:
                 in_slow = rng.random(batch) < p_slow
                 slow_picks = slow_ids[rng.integers(0, slow_ids.size, size=batch)]
                 fast_picks = fast_ids[rng.integers(0, fast_ids.size, size=batch)]
-                picks = np.where(in_slow, slow_picks, fast_picks).tolist()
-            for u in picks:
-                ticks += 1
-                if not terminated[u]:
-                    if nbr_ptr + 2 > nbr_len:
-                        nbr = rng.integers(0, n - 1, size=4 * batch).tolist()
-                        nbr_ptr = 0
-                    w = wt[u]
-                    if w < part_one:
-                        a = actions[w]
-                        if a == ACTION_NOP:
-                            wt[u] = w + 1
-                            rt[u] += 1
-                        elif a == ACTION_BP:
-                            if not bit[u]:
-                                r = nbr[nbr_ptr]
-                                nbr_ptr += 1
-                                v = r + 1 if r >= u else r
-                                if bit[v]:
-                                    c = colors[v]
-                                    old = colors[u]
-                                    if c != old:
-                                        counts[old] -= 1
-                                        counts[c] += 1
-                                        colors[u] = c
-                                    bit[u] = True
-                            wt[u] = w + 1
-                            rt[u] += 1
-                        elif a == ACTION_TC_SAMPLE:
-                            r = nbr[nbr_ptr]
-                            v1 = r + 1 if r >= u else r
-                            r = nbr[nbr_ptr + 1]
-                            v2 = r + 1 if r >= u else r
-                            nbr_ptr += 2
-                            c1 = colors[v1]
-                            inter[u] = c1 if c1 == colors[v2] else NO_COLOR
-                            wt[u] = w + 1
-                            rt[u] += 1
-                        elif a == ACTION_TC_COMMIT:
-                            ic = inter[u]
-                            if ic >= 0:
-                                old = colors[u]
-                                if ic != old:
-                                    counts[old] -= 1
-                                    counts[ic] += 1
-                                    colors[u] = ic
-                                bit[u] = True
-                            else:
-                                bit[u] = False
-                            inter[u] = NO_COLOR
-                            wt[u] = w + 1
-                            rt[u] += 1
-                        elif a == ACTION_SYNC_SAMPLE:
-                            r = nbr[nbr_ptr]
-                            nbr_ptr += 1
-                            v = r + 1 if r >= u else r
-                            buffers[u].collect(w // phase_len, rt[v], rt[u])
-                            wt[u] = w + 1
-                            rt[u] += 1
-                        else:  # ACTION_SYNC_JUMP
-                            phase = w // phase_len
-                            target = jump_target(buffers[u], phase, rt[u], sync_starts[phase])
-                            buffers[u].clear()
-                            wt[u] = w + 1 if target is None else target
-                            rt[u] += 1
-                    else:
-                        # Endgame: plain asynchronous Two-Choices.
-                        r = nbr[nbr_ptr]
-                        v1 = r + 1 if r >= u else r
-                        r = nbr[nbr_ptr + 1]
-                        v2 = r + 1 if r >= u else r
-                        nbr_ptr += 2
-                        c1 = colors[v1]
-                        if c1 == colors[v2]:
-                            old = colors[u]
-                            if c1 != old:
-                                counts[old] -= 1
-                                counts[c1] += 1
-                                colors[u] = c1
-                        w += 1
-                        wt[u] = w
-                        rt[u] += 1
-                        if w >= total_wt:
-                            terminated[u] = True
-                            alive -= 1
-                            if first_termination_tick is None:
-                                first_termination_tick = ticks
-                            if alive == 0:
-                                stop = True
-                                break
+                picks = np.where(in_slow, slow_picks, fast_picks)
+            targets = graph.sample_neighbors_block(picks, 2, rng)
+            actors = picks.tolist()
+            first = targets[:, 0].tolist()
+            second = targets[:, 1].tolist()
+            lo = 0
+            while lo < batch:
+                # Sub-blocks end on check boundaries and at the budget.
+                hi = min(batch, lo + check_stride - ticks % check_stride, lo + max_ticks - ticks)
+                finished = tick_block(
+                    schedule, actors[lo:hi], first[lo:hi], second[lo:hi],
+                    colors, counts, wt, rt, bit, inter, terminated, buffers, node_ids,
+                )
+                if finished:
+                    if first_termination_tick is None:
+                        first_termination_tick = ticks + finished[0] + 1
+                    alive -= len(finished)
+                    if alive == 0:
+                        ticks += finished[-1] + 1
+                        stop = True
+                        break
+                ticks += hi - lo
+                lo = hi
                 if ticks % check_stride == 0:
                     if first_consensus_tick is None and max(counts) == n:
                         first_consensus_tick = ticks
@@ -469,15 +478,6 @@ def _spread_snapshot(parallel_time: float, wt: List[int], terminated: List[bool]
     }
 
 
-def _materialize(initial, rng: np.random.Generator):
-    if isinstance(initial, ColorConfiguration):
-        return assignment_from_counts(initial, rng=rng), initial.k
-    colors = np.asarray(initial, dtype=np.int64)
-    if colors.ndim != 1 or colors.size == 0:
-        raise ConfigurationError("explicit colour arrays must be non-empty and 1-D")
-    return colors, int(colors.max()) + 1
-
-
 class AsyncPluralityProtocol(SequentialProtocol):
     """Tick-interface realisation of the phased protocol.
 
@@ -485,6 +485,7 @@ class AsyncPluralityProtocol(SequentialProtocol):
     expressed through :class:`~repro.protocols.base.SequentialProtocol`
     so the generic engines can drive it — in particular the
     continuous-time engine with response delays (experiment T12).
+    Instantaneous engine blocks run through :func:`tick_block`.
 
     Under delayed responses, a node whose request is in flight skips
     protocol actions while its clock ticks (see
@@ -499,30 +500,75 @@ class AsyncPluralityProtocol(SequentialProtocol):
 
     # -- state -----------------------------------------------------------
     def make_state(self, colors: np.ndarray, k: int) -> AsyncNodeState:
-        state = AsyncNodeState(colors=np.asarray(colors, dtype=np.int64), k=k)
-        state.schedule = self.params.compile(state.n)
-        state.buffers = [SyncSampleBuffer() for _ in range(state.n)]
-        state.pending_targets = {}
-        return state
+        colors = np.asarray(colors, dtype=np.int64)
+        return AsyncNodeState(colors=colors, k=k, schedule=self.params.compile(colors.size))
 
-    # -- tick interface ----------------------------------------------------
+    def default_parallel_time(self, n: int) -> float:
+        return schedule_budget(self.params.compile(n))
+
+    # -- instantaneous blocks ----------------------------------------------
+    def seq_tick_batch(self, state: AsyncNodeState, nodes: np.ndarray, topology: Topology, rng: np.random.Generator) -> None:
+        """One instantaneous tick per entry of *nodes* through :func:`tick_block`.
+
+        Draws the block's ``(B, 2)`` target matrix in one topology call;
+        each tick reads the columns its action needs.  Bit-identical to
+        :meth:`seq_tick_batch_loop` on the same draws, and equal in law
+        to it on independent ones.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if nodes.size:
+            self.apply_block(state, nodes, topology.sample_neighbors_block(nodes, 2, rng))
+
+    def apply_block(self, state: AsyncNodeState, nodes: np.ndarray, targets: np.ndarray) -> None:
+        """Apply ticks ``nodes[i]`` with targets ``targets[i]`` in order.
+
+        Only the rows the block touches (actors and targets) are
+        gathered into compact lists, actors first, and only the actors'
+        rows are scattered back, so a block costs ``O(B)``, not ``O(n)``.
+        """
+        b = nodes.size
+        flat = np.concatenate((nodes, targets.ravel()))
+        pos = np.arange(flat.size)
+        # Each distinct id keeps one owning position; writing the actors
+        # last makes every actor own a position in the first B slots,
+        # so actors get the lowest compact ids.
+        owner = np.empty(state.n, dtype=np.int64)
+        owner[flat[b:]] = pos[b:]
+        owner[nodes] = pos[:b]
+        owned = owner[flat]
+        kept = owned == pos
+        local = (np.cumsum(kept) - 1)[owned]
+        rows = flat[kept]
+        heads = rows[: int(np.count_nonzero(kept[:b]))]
+        # Targets are read for colour, bit and real time only.
+        read = (state.colors, state.bit, state.real_time)
+        own = (state.working_time, state.intermediate)
+        colors, bit, rt = read_lists = [arr[rows].tolist() for arr in read]
+        wt, inter = own_lists = [arr[heads].tolist() for arr in own]
+        finished = tick_block(
+            state.schedule, local[:b].tolist(), local[b::2].tolist(), local[b + 1::2].tolist(),
+            colors, [0] * state.k, wt, rt, bit, inter, state.terminated[heads].tolist(),
+            state.buffers, heads.tolist(),
+        )
+        for arr, values in zip(read, read_lists):
+            arr[heads] = values[: heads.size]
+        for arr, values in zip(own, own_lists):
+            arr[heads] = values
+        state.terminated[nodes[finished]] = True
+
+    # -- tick interface (delayed responses and the reference loop) ---------
     def tick_targets(self, state: AsyncNodeState, node: int, topology: Topology, rng: np.random.Generator) -> np.ndarray:
         schedule: PhaseSchedule = state.schedule
         if state.terminated[node]:
-            return np.empty(0, dtype=np.int64)
+            return _NO_TARGETS
         w = int(state.working_time[node])
-        if w >= schedule.part_one_length:
+        action = schedule.action_at(w)
+        if w >= schedule.part_one_length or action == ACTION_TC_SAMPLE:
             targets = topology.sample_neighbors(node, 2, rng)
+        elif action == ACTION_SYNC_SAMPLE or (action == ACTION_BP and not state.bit[node]):
+            targets = topology.sample_neighbors(node, 1, rng)
         else:
-            action = schedule.action_at(w)
-            if action == ACTION_TC_SAMPLE:
-                targets = topology.sample_neighbors(node, 2, rng)
-            elif action == ACTION_BP and not state.bit[node]:
-                targets = topology.sample_neighbors(node, 1, rng)
-            elif action == ACTION_SYNC_SAMPLE:
-                targets = topology.sample_neighbors(node, 1, rng)
-            else:
-                targets = np.empty(0, dtype=np.int64)
+            targets = _NO_TARGETS
         state.pending_targets[node] = targets
         return targets
 
@@ -530,54 +576,39 @@ class AsyncPluralityProtocol(SequentialProtocol):
         schedule: PhaseSchedule = state.schedule
         if state.terminated[node]:
             return
-        targets = state.pending_targets.pop(node, np.empty(0, dtype=np.int64))
+        targets = state.pending_targets.pop(node, _NO_TARGETS)
+        agree = len(observed_colors) == 2 and observed_colors[0] == observed_colors[1]
         w = int(state.working_time[node])
-        phase_len = schedule.phase_length
-        if w >= schedule.part_one_length:
-            if len(observed_colors) == 2 and observed_colors[0] == observed_colors[1]:
-                state.colors[node] = observed_colors[0]
-            state.working_time[node] = w + 1
-            state.real_time[node] += 1
-            if w + 1 >= schedule.total_length:
-                state.terminated[node] = True
-            return
+        next_wt = w + 1
         action = schedule.action_at(w)
-        if action == ACTION_TC_SAMPLE:
-            if len(observed_colors) == 2 and observed_colors[0] == observed_colors[1]:
-                state.intermediate[node] = observed_colors[0]
-            else:
-                state.intermediate[node] = NO_COLOR
+        if w >= schedule.part_one_length:
+            if agree:
+                state.colors[node] = observed_colors[0]
+            state.terminated[node] = next_wt >= schedule.total_length
+        elif action == ACTION_TC_SAMPLE:
+            state.intermediate[node] = observed_colors[0] if agree else NO_COLOR
         elif action == ACTION_TC_COMMIT:
             ic = int(state.intermediate[node])
             if ic != NO_COLOR:
                 state.colors[node] = ic
-                state.bit[node] = True
-            else:
-                state.bit[node] = False
+            state.bit[node] = ic != NO_COLOR
             state.intermediate[node] = NO_COLOR
         elif action == ACTION_BP:
-            if not state.bit[node] and len(targets):
-                target = int(targets[0])
-                # Bit and colour are read together at response time.
-                if state.bit[target]:
-                    state.colors[node] = state.colors[target]
-                    state.bit[node] = True
-        elif action == ACTION_SYNC_SAMPLE:
-            if len(targets):
-                target = int(targets[0])
-                state.buffers[node].collect(
-                    w // phase_len, int(state.real_time[target]), int(state.real_time[node])
-                )
+            # Bit and colour are read together at response time.
+            if not state.bit[node] and len(targets) and state.bit[targets[0]]:
+                state.colors[node] = state.colors[targets[0]]
+                state.bit[node] = True
+        elif action == ACTION_SYNC_SAMPLE and len(targets):
+            own_rt = int(state.real_time[node])
+            state.buffers[node].collect(w // schedule.phase_length, int(state.real_time[targets[0]]), own_rt)
         elif action == ACTION_SYNC_JUMP:
-            phase = w // phase_len
-            target_wt = jump_target(
-                state.buffers[node], phase, int(state.real_time[node]), schedule.sync_starts[phase]
-            )
-            state.buffers[node].clear()
-            state.real_time[node] += 1
-            state.working_time[node] = w + 1 if target_wt is None else target_wt
-            return
-        state.working_time[node] = w + 1
+            phase = w // schedule.phase_length
+            buffer = state.buffers[node]
+            target = jump_target(buffer, phase, int(state.real_time[node]), schedule.sync_starts[phase])
+            buffer.clear()
+            if target is not None:
+                next_wt = target
+        state.working_time[node] = next_wt
         state.real_time[node] += 1
 
     def is_absorbed(self, state: AsyncNodeState) -> bool:

@@ -336,6 +336,15 @@ class SequentialProtocol(ABC):
         for node in nodes:
             self.seq_tick(state, int(node), topology, rng)
 
+    def default_parallel_time(self, n: int) -> Optional[float]:
+        """Parallel-time budget of a run that names none, or ``None``.
+
+        ``None`` (the default) leaves the engines' generic ``50 ln n``,
+        which covers every ``Theta(log n)`` protocol here; protocols
+        with a fixed schedule longer than that override it.
+        """
+        return None
+
     def as_sequential_counts(self) -> Optional["SequentialCountsProtocol"]:
         """Counts-level realisation of this tick rule on ``K_n``.
 

@@ -18,6 +18,8 @@ probability ``(1-p)²``, so consensus time inflates by ``1/(1-p)²``
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..core.exceptions import ConfigurationError
@@ -80,3 +82,7 @@ class LossyProtocol(SequentialProtocol):
     def is_absorbed(self, state: NodeArrayState) -> bool:
         """Delegate absorption to the wrapped protocol."""
         return self.inner.is_absorbed(state)
+
+    def default_parallel_time(self, n: int) -> Optional[float]:
+        """Delegate the default budget to the wrapped protocol."""
+        return self.inner.default_parallel_time(n)

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List
+from functools import cached_property
+from typing import List, Tuple
 
 import numpy as np
 
@@ -202,6 +203,11 @@ class PhaseSchedule:
     # ------------------------------------------------------------------
     # derived quantities
     # ------------------------------------------------------------------
+    @cached_property
+    def action_codes(self) -> Tuple[int, ...]:
+        """``actions`` as Python ints, for scalar indexing in tick loops."""
+        return tuple(self.actions.tolist())
+
     @property
     def phase_length(self) -> int:
         """Working-time slots per phase."""

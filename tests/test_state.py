@@ -56,7 +56,7 @@ class TestAsyncNodeState:
         assert not state.bit.any()
         assert (state.intermediate == NO_COLOR).all()
         assert not state.terminated.any()
-        assert len(state.sync_samples) == 3
+        assert len(state.buffers) == 3
 
     def test_shape_validation(self):
         with pytest.raises(ConfigurationError):
@@ -88,9 +88,9 @@ class TestAsyncNodeState:
 
     def test_copy_deep(self):
         state = AsyncNodeState(colors=np.array([0, 1]), k=2)
-        state.sync_samples[0].append(3)
+        state.buffers[0].collect(0, 3, 0)
         clone = state.copy()
-        clone.sync_samples[0].append(4)
+        clone.buffers[0].collect(0, 4, 0)
         clone.bit[1] = True
-        assert state.sync_samples[0] == [3]
+        assert state.buffers[0].offsets == [3]
         assert not state.bit[1]
