@@ -1,7 +1,7 @@
 """Tick-kernel perf benchmark (no experiment id — pure wall clock).
 
 Times the hazard tick loop under each available kernel (``numpy``,
-``c``, ``numba``) on the fixed Two-Choices torus workload the sparse
+``c``) on the fixed Two-Choices torus workload the sparse
 benchmark uses, in two phases:
 
 - ``mixed``: a fixed ``BUDGET_PARALLEL * n`` tick budget from the 60/40
@@ -17,7 +17,7 @@ differently per kernel) and replays one full run per kernel: with
 identical draws the trajectories must match bit-for-bit, recorded under
 ``criteria["kernel_bit_identical"]``.
 
-The headline criterion — fastest compiled kernel at least 2x faster
+The headline criterion — the compiled kernel at least 2x faster
 than the numpy loop on the mixed phase — is only asserted when a
 compiled kernel is available; otherwise the payload records a loud
 skip under ``criteria["compiled_kernel_skipped"]``.
@@ -62,7 +62,7 @@ QUICK_N = 10_000
 BUDGET_PARALLEL = 2
 
 #: kernels the compiled-speedup criterion may pick its winner from.
-COMPILED = ("c", "numba")
+COMPILED = ("c",)
 
 
 def _never(counts) -> bool:

@@ -1,305 +1,16 @@
-"""Pluggable array backends for the ensemble count engines.
+"""Name of the array library the ensemble count engines run on.
 
-The ensemble engines (:mod:`repro.engine.ensemble`) operate on
-``(R, m)`` label-histogram matrices: allocate, mask, compact, and feed
-them to stacked ``Generator`` draws.  Those count-array operations are
-factored here behind a small namespace object so the engines run
-unchanged on plain numpy (always available, the reference) or on an
-accelerator array library (CuPy when installed with a visible GPU —
-``pip install repro-consensus[gpu]``).
-
-Exactness contract
-------------------
-* ``numpy`` — the default.  Every method is a direct alias of the
-  numpy call the engines made before the seam existed, so the call
-  sequence against the ``Generator`` is unchanged and results are
-  **bit-identical** to the pre-backend engines (the ensemble ``R == 1``
-  bit-exactness contract of :mod:`repro.engine.ensemble` survives).
-* ``cupy`` — count matrices live on the device; random variates are
-  still drawn by the host ``numpy.random.Generator`` (CuPy's generator
-  has no multinomial and would change the stream anyway) and shipped
-  over.  Per-replication marginals therefore follow the exact same law,
-  but device arithmetic reorders float reductions, so equality with the
-  numpy backend is **law-level**, not bitwise — pinned by KS tests in
-  ``tests/test_backend.py`` (auto-skipped when no GPU is present).
-
-Selection mirrors :mod:`repro.core.hazard_kernel`: the ``REPRO_BACKEND``
-environment variable picks ``numpy`` (default), ``cupy`` or ``auto``;
-an unavailable explicit choice degrades to numpy with a
-:class:`RuntimeWarning`.  Engines also accept ``backend=`` directly for
-programmatic selection.
+The ensemble engines (:mod:`repro.engine.ensemble`) call numpy
+directly.  :func:`active_backend_name` exists so benchmark records name
+the array library their numbers were measured with, and so records from
+two checkouts can be refused as incomparable when that name differs.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from dataclasses import dataclass
-from typing import Dict, Optional, Union
-
-import numpy as np
-
-from .exceptions import ConfigurationError
-
-__all__ = [
-    "BACKEND_ENV",
-    "BACKEND_NAMES",
-    "ArrayBackend",
-    "BackendUnavailable",
-    "BackendProbe",
-    "NumpyBackend",
-    "CupyBackend",
-    "available_backends",
-    "get_backend",
-    "active_backend",
-    "active_backend_name",
-    "resolve_backend",
-    "reset_active_backend",
-]
-
-#: environment variable naming the ensemble count-array backend.
-BACKEND_ENV = "REPRO_BACKEND"
-#: accepted ``REPRO_BACKEND`` values.
-BACKEND_NAMES = ("numpy", "cupy", "auto")
-#: probe order of ``auto``.
-_AUTO_ORDER = ("cupy",)
-
-
-class BackendUnavailable(RuntimeError):
-    """An array backend cannot be used in this environment."""
-
-
-@dataclass(frozen=True)
-class BackendProbe:
-    """Availability of one array backend."""
-
-    name: str
-    available: bool
-    detail: str
-
-
-class ArrayBackend:
-    """Namespace of the count-array operations the ensemble engines use.
-
-    ``xp`` is the backing array module (numpy-compatible namespace);
-    the draw methods take the host :class:`numpy.random.Generator` so
-    every backend consumes the *same stream in the same order* — the
-    backend only decides where the resulting arrays live.
-    """
-
-    name = "abstract"
-    #: backing array module; subclasses set this.
-    xp = None
-
-    # -- array residency -------------------------------------------------
-    def asarray(self, a, dtype=None):
-        """Adopt *a* into this backend's array type."""
-        raise NotImplementedError
-
-    def to_host(self, a) -> np.ndarray:
-        """A numpy view/copy of *a* for host-side protocol hooks."""
-        raise NotImplementedError
-
-    # -- stacked random draws --------------------------------------------
-    def multinomial(self, rng: np.random.Generator, n, pvals):
-        raise NotImplementedError
-
-    def binomial(self, rng: np.random.Generator, n, p):
-        raise NotImplementedError
-
-    def gamma(self, rng: np.random.Generator, shape):
-        raise NotImplementedError
-
-
-class NumpyBackend(ArrayBackend):
-    """The reference backend: every method is the plain numpy call."""
-
-    name = "numpy"
-    xp = np
-
-    def asarray(self, a, dtype=None):
-        return np.asarray(a, dtype=dtype)
-
-    def to_host(self, a) -> np.ndarray:
-        return a
-
-    def multinomial(self, rng, n, pvals):
-        return rng.multinomial(n, pvals)
-
-    def binomial(self, rng, n, p):
-        return rng.binomial(n, p)
-
-    def gamma(self, rng, shape):
-        return rng.gamma(shape)
-
-
-class CupyBackend(ArrayBackend):
-    """Device-resident count matrices; host RNG (see the module note).
-
-    Experimental: correct by construction (same host stream, same law)
-    but only exercised where a GPU exists — the test suite KS-checks it
-    and auto-skips otherwise.
-    """
-
-    name = "cupy"
-
-    def __init__(self, cupy_module):
-        self.xp = cupy_module
-
-    def asarray(self, a, dtype=None):
-        return self.xp.asarray(a, dtype=dtype)
-
-    def to_host(self, a) -> np.ndarray:
-        if isinstance(a, self.xp.ndarray):
-            return self.xp.asnumpy(a)
-        return np.asarray(a)
-
-    def _host(self, a):
-        """Host twin of *a* for feeding the host ``Generator``."""
-        if isinstance(a, self.xp.ndarray):
-            return self.xp.asnumpy(a)
-        return a
-
-    def _ship(self, a):
-        return self.xp.asarray(a)
-
-    def multinomial(self, rng, n, pvals):
-        return self._ship(rng.multinomial(self._host(n), self._host(pvals)))
-
-    def binomial(self, rng, n, p):
-        return self._ship(rng.binomial(self._host(n), self._host(p)))
-
-    def gamma(self, rng, shape):
-        return self._ship(rng.gamma(self._host(shape)))
-
-
-def _build_numpy_backend() -> NumpyBackend:
-    return NumpyBackend()
-
-
-def _build_cupy_backend() -> CupyBackend:
-    try:
-        import cupy
-    except ImportError as exc:
-        raise BackendUnavailable(
-            f"cupy is not installed (pip install 'repro-consensus[gpu]'): {exc}"
-        ) from exc
-    try:
-        if cupy.cuda.runtime.getDeviceCount() < 1:
-            raise BackendUnavailable("cupy is installed but no CUDA device is visible")
-        # One tiny round-trip: catches driver/toolkit mismatches eagerly.
-        cupy.asnumpy(cupy.zeros(1))
-    except BackendUnavailable:
-        raise
-    except Exception as exc:
-        raise BackendUnavailable(f"cupy cannot reach a CUDA device: {exc}") from exc
-    return CupyBackend(cupy)
-
-
-_BUILDERS = {"numpy": _build_numpy_backend, "cupy": _build_cupy_backend}
-
-_backends: Dict[str, ArrayBackend] = {}
-_failures: Dict[str, str] = {}
-
-
-def get_backend(name: Optional[str]) -> ArrayBackend:
-    """The backend registered under *name* (built on first use).
-
-    ``None``/``""`` mean numpy; ``"auto"`` returns the first available
-    accelerator backend, else numpy.  An explicit unavailable name
-    raises :class:`BackendUnavailable`; use :func:`active_backend` for
-    the degrade-with-warning behaviour.
-    """
-    if name in (None, ""):
-        name = "numpy"
-    if name == "auto":
-        for candidate in _AUTO_ORDER:
-            try:
-                return get_backend(candidate)
-            except BackendUnavailable:
-                continue
-        return get_backend("numpy")
-    if name not in _BUILDERS:
-        raise ConfigurationError(
-            f"unknown backend {name!r}; expected one of {BACKEND_NAMES}"
-        )
-    if name in _backends:
-        return _backends[name]
-    if name in _failures:
-        raise BackendUnavailable(_failures[name])
-    try:
-        backend = _BUILDERS[name]()
-    except BackendUnavailable as exc:
-        _failures[name] = str(exc)
-        raise
-    except Exception as exc:  # defensive: builders should raise BackendUnavailable
-        _failures[name] = f"{type(exc).__name__}: {exc}"
-        raise BackendUnavailable(_failures[name]) from exc
-    _backends[name] = backend
-    return backend
-
-
-def available_backends() -> Dict[str, BackendProbe]:
-    """Probe every backend; ``numpy`` is always available."""
-    probes = {}
-    for name in _BUILDERS:
-        try:
-            backend = get_backend(name)
-            detail = "reference count-array backend" if name == "numpy" else "device-resident"
-            probes[name] = BackendProbe(name, True, detail)
-        except BackendUnavailable as exc:
-            probes[name] = BackendProbe(name, False, str(exc))
-    return probes
-
-
-_UNRESOLVED = object()
-_active: object = _UNRESOLVED
-
-
-def active_backend() -> ArrayBackend:
-    """The process-wide backend selected by ``REPRO_BACKEND``.
-
-    Resolved once per process; an unavailable explicit choice degrades
-    to numpy with a :class:`RuntimeWarning` — loud, never fatal.
-    """
-    global _active
-    if _active is _UNRESOLVED:
-        name = (os.environ.get(BACKEND_ENV) or "numpy").strip().lower()
-        if name not in BACKEND_NAMES:
-            raise ConfigurationError(
-                f"{BACKEND_ENV}={name!r}: expected one of {BACKEND_NAMES}"
-            )
-        try:
-            _active = get_backend(name)
-        except BackendUnavailable as exc:
-            warnings.warn(
-                f"{BACKEND_ENV}={name} is unavailable here, falling back to "
-                f"numpy: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            _active = get_backend("numpy")
-    return _active  # type: ignore[return-value]
+__all__ = ["active_backend_name"]
 
 
 def active_backend_name() -> str:
-    """Name of the resolved process-wide backend."""
-    return active_backend().name
-
-
-def resolve_backend(backend: Union[None, str, ArrayBackend]) -> ArrayBackend:
-    """Engine-constructor helper: ``None`` → env-selected backend,
-    a name → :func:`get_backend` (raising when unavailable — an explicit
-    programmatic request should not silently degrade), an
-    :class:`ArrayBackend` instance → itself."""
-    if backend is None:
-        return active_backend()
-    if isinstance(backend, ArrayBackend):
-        return backend
-    return get_backend(backend)
-
-
-def reset_active_backend() -> None:
-    """Forget the resolved ``REPRO_BACKEND`` choice (test hook)."""
-    global _active
-    _active = _UNRESOLVED
+    """Name of the array library the ensemble engines use: ``"numpy"``."""
+    return "numpy"

@@ -16,24 +16,17 @@ draws.  Switching kernels never changes results, only wall-clock time:
 all RNG draws happen *before* the apply, in the same order, whichever
 kernel applies them.
 
-Two compiled implementations are provided, both optional:
-
-``c``
-    ``_hazard_kernel.c`` compiled on demand with the system C compiler
-    (``cc -O3 -shared -fPIC`` — no Python headers needed) into a cached
-    shared library loaded through :mod:`ctypes`.  Available wherever a
-    C toolchain is installed; zero Python dependencies.
-``numba``
-    The same per-tick loop JIT-compiled by Numba (``pip install
-    repro-consensus[jit]``).  Available wherever the optional extra is
-    installed; first use pays a one-off JIT compile.
+The one compiled kernel, ``c``, is ``_hazard_kernel.c`` compiled on
+demand with the system C compiler (``cc -O3 -shared -fPIC`` — no Python
+headers needed) into a cached shared library loaded through
+:mod:`ctypes`.  It is available wherever a C toolchain is installed and
+has zero Python dependencies.
 
 Selection order (the capability probe used by
 :func:`repro.engine.dispatch.fastest_engine` and the engines):
 
 1. the ``REPRO_KERNEL`` environment variable — ``numpy`` (default),
-   ``c``, ``numba`` or ``auto`` (fastest available: c, then numba,
-   else numpy);
+   ``c`` or ``auto`` (c if it builds, else numpy, silently);
 2. a requested-but-unavailable compiled kernel *degrades to numpy with
    a warning* — the numpy path is always present and always exact, so
    a missing toolchain can never break a run;
@@ -86,9 +79,7 @@ KERNEL_ENV = "REPRO_KERNEL"
 #: override for the compiled-library cache directory.
 CACHE_ENV = "REPRO_KERNEL_CACHE"
 #: accepted ``REPRO_KERNEL`` values.
-KERNEL_NAMES = ("numpy", "c", "numba", "auto")
-#: probe order of ``auto``, fastest first.
-_AUTO_ORDER = ("c", "numba")
+KERNEL_NAMES = ("numpy", "c", "auto")
 
 #: rule-name -> ABI rule id; must stay in sync with ``_hazard_kernel.c``.
 RULE_IDS: Dict[str, int] = {
@@ -124,18 +115,24 @@ class KernelProbe:
 
 
 class TickKernel:
-    """A compiled implementation of the presampled per-tick apply loop.
+    """The compiled per-tick apply loop: a ctypes wrapper over the
+    cached ``_hazard_kernel.c`` build.
 
     ``apply`` must be bit-identical to looping
     :meth:`~repro.protocols.base.SequentialProtocol.seq_tick` over the
-    presampled draws — the contract every kernel is pinned against in
+    presampled draws — the contract pinned in
     ``tests/test_hazard_kernel.py``.
     """
 
-    name = "abstract"
+    name = "c"
 
-    def supports(self, protocol) -> bool:
-        """True when this kernel compiles *protocol*'s tick rule.
+    def __init__(self, fn, library_path: str):
+        self._fn = fn
+        self.library_path = library_path
+
+    @staticmethod
+    def supports(protocol) -> bool:
+        """True when the kernel compiles *protocol*'s tick rule.
 
         The protocol must name a known ``tick_kernel`` rule and its
         declared footprint must match the rule's sample count and be
@@ -157,34 +154,15 @@ class TickKernel:
         Returns the hazard-cut count of the equivalent numpy call,
         which for a true sequential loop is always 0.
         """
-        raise NotImplementedError
-
-
-def _block_arrays(state, nodes: np.ndarray, targets: np.ndarray):
-    """Validate/normalise one presampled block for a compiled loop."""
-    colors = state.colors
-    if colors.dtype != np.int64 or not colors.flags["C_CONTIGUOUS"]:
-        raise KernelUnavailable("state.colors must be a contiguous int64 vector")
-    nodes = np.ascontiguousarray(nodes, dtype=np.int64)
-    targets = np.ascontiguousarray(targets, dtype=np.int64)
-    if targets.ndim != 2 or targets.shape[0] != nodes.shape[0]:
-        raise KernelUnavailable(
-            f"targets must be (m, s) aligned with nodes, got {targets.shape}"
-        )
-    return colors, nodes, targets
-
-
-class CTickKernel(TickKernel):
-    """ctypes wrapper over the cached ``_hazard_kernel.c`` build."""
-
-    name = "c"
-
-    def __init__(self, fn, library_path: str):
-        self._fn = fn
-        self.library_path = library_path
-
-    def apply(self, protocol, state, nodes: np.ndarray, targets: np.ndarray) -> int:
-        colors, nodes, targets = _block_arrays(state, nodes, targets)
+        colors = state.colors
+        if colors.dtype != np.int64 or not colors.flags["C_CONTIGUOUS"]:
+            raise KernelUnavailable("state.colors must be a contiguous int64 vector")
+        nodes = np.ascontiguousarray(nodes, dtype=np.int64)
+        targets = np.ascontiguousarray(targets, dtype=np.int64)
+        if targets.ndim != 2 or targets.shape[0] != nodes.shape[0]:
+            raise KernelUnavailable(
+                f"targets must be (m, s) aligned with nodes, got {targets.shape}"
+            )
         wrote = self._fn(
             colors.ctypes.data,
             nodes.ctypes.data,
@@ -198,26 +176,6 @@ class CTickKernel(TickKernel):
             raise KernelUnavailable(
                 f"compiled rule rejected ({protocol.tick_kernel!r}, "
                 f"s={targets.shape[1]}) — library/protocol mismatch"
-            )
-        return 0
-
-
-class NumbaTickKernel(TickKernel):
-    """Numba-njit twin of the C loop (``repro-consensus[jit]`` extra)."""
-
-    name = "numba"
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def apply(self, protocol, state, nodes: np.ndarray, targets: np.ndarray) -> int:
-        colors, nodes, targets = _block_arrays(state, nodes, targets)
-        wrote = self._fn(
-            colors, nodes, targets, RULE_IDS[protocol.tick_kernel], state.k - 1
-        )
-        if wrote < 0:
-            raise KernelUnavailable(
-                f"jitted rule rejected ({protocol.tick_kernel!r}, s={targets.shape[1]})"
             )
         return 0
 
@@ -242,7 +200,7 @@ def _find_compiler() -> str:
                 return path
     raise KernelUnavailable(
         "no C compiler on PATH (tried $CC, cc, gcc, clang); "
-        "install a toolchain or use REPRO_KERNEL=numba/numpy"
+        "install a toolchain or use REPRO_KERNEL=numpy"
     )
 
 
@@ -281,7 +239,7 @@ def _build_c_library() -> Path:
     return out
 
 
-def _load_c_kernel() -> CTickKernel:
+def _load_c_kernel() -> TickKernel:
     path = _build_c_library()
     try:
         lib = ctypes.CDLL(str(path))
@@ -307,118 +265,54 @@ def _load_c_kernel() -> CTickKernel:
         ctypes.c_int64,
         ctypes.c_int64,
     ]
-    return CTickKernel(fn, str(path))
+    return TickKernel(fn, str(path))
 
 
-def _build_numba_kernel() -> NumbaTickKernel:
+#: the built kernel and the remembered build failure (both per process
+#: — a missing toolchain does not get cheaper by re-probing every block).
+_built: Optional[TickKernel] = None
+_failure: Optional[str] = None
+
+
+def _compiled_kernel() -> TickKernel:
+    """The C kernel, built on first use; raises :class:`KernelUnavailable`."""
+    global _built, _failure
+    if _built is not None:
+        return _built
+    if _failure is not None:
+        raise KernelUnavailable(_failure)
     try:
-        import numba
-    except ImportError as exc:
-        raise KernelUnavailable(
-            f"numba is not installed (pip install 'repro-consensus[jit]'): {exc}"
-        ) from exc
-
-    @numba.njit(cache=False)
-    def tick_loop(colors, nodes, targets, rule, undecided):  # pragma: no cover - jitted
-        writes = 0
-        m = nodes.shape[0]
-        s = targets.shape[1]
-        if rule == 1 and s == 1:  # voter
-            for t in range(m):
-                node = nodes[t]
-                seen = colors[targets[t, 0]]
-                if seen != colors[node]:
-                    colors[node] = seen
-                    writes += 1
-        elif rule == 2 and s == 2:  # two-choices
-            for t in range(m):
-                node = nodes[t]
-                a = colors[targets[t, 0]]
-                if a == colors[targets[t, 1]] and a != colors[node]:
-                    colors[node] = a
-                    writes += 1
-        elif rule == 3 and s == 3:  # three-majority
-            for t in range(m):
-                node = nodes[t]
-                a = colors[targets[t, 0]]
-                b = colors[targets[t, 1]]
-                c = colors[targets[t, 2]]
-                value = b if (b == c and a != b) else a
-                if value != colors[node]:
-                    colors[node] = value
-                    writes += 1
-        elif rule == 4 and s == 1:  # undecided-state
-            for t in range(m):
-                node = nodes[t]
-                own = colors[node]
-                seen = colors[targets[t, 0]]
-                if own == undecided:
-                    if seen != undecided:
-                        colors[node] = seen
-                        writes += 1
-                elif seen != undecided and seen != own:
-                    colors[node] = undecided
-                    writes += 1
-        else:
-            return -1
-        return writes
-
-    # pay the JIT compile now, on a trivial block, so the first engine
-    # block is not mis-attributed in benchmarks
-    tick_loop(
-        np.zeros(2, dtype=np.int64),
-        np.zeros(1, dtype=np.int64),
-        np.zeros((1, 1), dtype=np.int64),
-        1,
-        1,
-    )
-    return NumbaTickKernel(tick_loop)
-
-
-_BUILDERS = {"c": _load_c_kernel, "numba": _build_numba_kernel}
-
-#: built kernels and remembered failures (both per process — a missing
-#: toolchain does not get cheaper by re-probing every block).
-_kernels: Dict[str, TickKernel] = {}
-_failures: Dict[str, str] = {}
+        _built = _load_c_kernel()
+    except KernelUnavailable as exc:
+        _failure = str(exc)
+        raise
+    except Exception as exc:  # defensive: the builder should raise KernelUnavailable
+        _failure = f"{type(exc).__name__}: {exc}"
+        raise KernelUnavailable(_failure) from exc
+    return _built
 
 
 def get_kernel(name: Optional[str]) -> Optional[TickKernel]:
-    """The kernel registered under *name* (built on first use).
+    """The kernel selected by *name* (built on first use).
 
     ``None``/``""``/``"numpy"`` return ``None`` — the numpy path.
-    ``"auto"`` returns the first available compiled kernel (or ``None``
-    when none builds).  An explicit compiled name raises
-    :class:`KernelUnavailable` when it cannot be provided; use
-    :func:`active_kernel` for the degrade-with-warning behaviour.
+    ``"auto"`` returns the C kernel, or ``None`` when it does not build.
+    ``"c"`` raises :class:`KernelUnavailable` when it cannot be
+    provided; use :func:`active_kernel` for the degrade-with-warning
+    behaviour.
     """
     if name in (None, "", "numpy"):
         return None
-    if name == "auto":
-        for candidate in _AUTO_ORDER:
-            try:
-                return get_kernel(candidate)
-            except KernelUnavailable:
-                continue
-        return None
-    if name not in _BUILDERS:
+    if name not in KERNEL_NAMES:
         raise ConfigurationError(
             f"unknown kernel {name!r}; expected one of {KERNEL_NAMES}"
         )
-    if name in _kernels:
-        return _kernels[name]
-    if name in _failures:
-        raise KernelUnavailable(_failures[name])
-    try:
-        kernel = _BUILDERS[name]()
-    except KernelUnavailable as exc:
-        _failures[name] = str(exc)
-        raise
-    except Exception as exc:  # defensive: builders should raise KernelUnavailable
-        _failures[name] = f"{type(exc).__name__}: {exc}"
-        raise KernelUnavailable(_failures[name]) from exc
-    _kernels[name] = kernel
-    return kernel
+    if name == "auto":
+        try:
+            return _compiled_kernel()
+        except KernelUnavailable:
+            return None
+    return _compiled_kernel()
 
 
 def available_kernels() -> Dict[str, KernelProbe]:
@@ -426,13 +320,10 @@ def available_kernels() -> Dict[str, KernelProbe]:
     probes = {
         "numpy": KernelProbe("numpy", True, "pure-numpy hazard batches (reference)")
     }
-    for name in _BUILDERS:
-        try:
-            kernel = get_kernel(name)
-            detail = getattr(kernel, "library_path", "jit-compiled")
-            probes[name] = KernelProbe(name, True, detail)
-        except KernelUnavailable as exc:
-            probes[name] = KernelProbe(name, False, str(exc))
+    try:
+        probes["c"] = KernelProbe("c", True, _compiled_kernel().library_path)
+    except KernelUnavailable as exc:
+        probes["c"] = KernelProbe("c", False, str(exc))
     return probes
 
 
@@ -490,8 +381,8 @@ def reset_active_kernel() -> None:
     """Forget the resolved ``REPRO_KERNEL`` choice (re-read the env).
 
     Test hook: lets a monkeypatched environment take effect without a
-    fresh process.  Built kernels and remembered failures survive — only
-    the *selection* is re-resolved.
+    fresh process.  The built kernel and a remembered failure survive —
+    only the *selection* is re-resolved.
     """
     global _active
     _active = _UNRESOLVED

@@ -1,5 +1,5 @@
 """Engine selection: route a (protocol, topology, model) onto the
-fastest engine that simulates it *exactly*.
+fastest engine that simulates it, and say which law each route samples.
 
 The repo grew one engine per execution model (synchronous rounds,
 sequential ticks, Poisson clocks) plus counts-level fast paths that are
@@ -44,11 +44,6 @@ Crossover note (sequential model, off ``K_n``)
     :class:`~repro.engine.continuous.ContinuousEngine`, which is slower
     at any size.
 
-The ensemble rows accept a ``backend=`` parameter (forwarded to the
-:mod:`repro.engine.ensemble` constructors) selecting the count-array
-backend of :mod:`repro.core.backend`; the default follows
-``REPRO_BACKEND`` (numpy unless overridden).
-
 When *n_reps* asks for more than one replication, the counts-level
 rows of the table are additionally lifted to their ensemble twins
 (:mod:`repro.engine.ensemble`), which advance all replications per
@@ -56,17 +51,24 @@ numpy batch and expose ``run_ensemble`` instead of ``run``; rows with
 no exact ensemble form return the single-run engine and the caller
 loops (see :func:`repro.engine.ensemble.run_replicated`).
 
-Every returned engine draws from the *same law* as the engine it
-replaces (see the exactness notes in :mod:`repro.engine.counts_async`
-and :mod:`repro.engine.ensemble`), so swapping in
-:func:`fastest_engine` changes wall-clock time only.
+Law sampled by each route:
+
+* ``CountsEngine`` and its ensemble twin sample the exact round chain.
+* The counts tick engines (``CountsSequentialEngine``,
+  ``CountsContinuousEngine`` and their ensemble twins) freeze rates
+  over batches of ``B = max(1, round(n / 256))`` ticks.  They are the
+  exact tick chain only when ``B = 1``, i.e. for ``n <= 383``; above
+  that they are a frozen-rate tau-leap with ``O(B / n)`` relative
+  error (DESIGN.md section 2.1).
+
+An ensemble twin samples each replication from the same law as its
+single-run engine (see :mod:`repro.engine.ensemble`).
 """
 
 from __future__ import annotations
 
 from typing import Optional, Union
 
-from ..core.backend import ArrayBackend
 from ..core.exceptions import ConfigurationError
 from ..graphs.topology import DynamicTopology, Topology
 from ..protocols.base import (
@@ -105,9 +107,11 @@ def fastest_engine(
     model: str = "sequential",
     delay_model: Optional[DelayModel] = None,
     n_reps: int = 1,
-    backend: Union[None, str, ArrayBackend] = None,
 ):
-    """Build the fastest exact engine for *protocol* on *topology*.
+    """Build the fastest engine for *protocol* on *topology*.
+
+    The counts tick routes are exact only for ``n <= 383`` and a
+    frozen-rate tau-leap above (see the module docstring).
 
     Parameters
     ----------
@@ -130,17 +134,13 @@ def fastest_engine(
         ``run``) when an exact ensemble form exists; otherwise the
         single-run engine is returned and the caller loops — use
         :func:`repro.engine.ensemble.run_replicated` to not care which.
-    backend:
-        Count-array backend for the ensemble engines (a name, an
-        :class:`~repro.core.backend.ArrayBackend`, or ``None`` for the
-        ``REPRO_BACKEND`` selection).  Ignored by non-ensemble routes,
-        which have no ``(R, k)`` count matrices.
 
     Returns
     -------
     An engine instance whose ``run(initial, ..., seed=...)`` (or
     ``run_ensemble(initial, n_reps, ..., seed=...)``) draws each
-    replication from the same law as the reference engine for *model*.
+    replication from the law listed for its route in the module
+    docstring.
     Counts-level engines require a
     :class:`~repro.core.colors.ColorConfiguration` initial state.
     """
@@ -165,7 +165,7 @@ def fastest_engine(
             if not on_complete:
                 raise ConfigurationError(f"{protocol.name} is counts-level and needs K_n")
             if ensemble and isinstance(protocol, EnsembleCountsProtocol):
-                return EnsembleCountsEngine(protocol, backend=backend)
+                return EnsembleCountsEngine(protocol)
             return CountsEngine(protocol)
         if isinstance(protocol, SynchronousProtocol):
             return SynchronousEngine(protocol, topology)
@@ -180,18 +180,11 @@ def fastest_engine(
     if model == "sequential" and not zero_delay:
         raise ConfigurationError("response delays require the continuous model")
     if ensemble:
-        ensemble_cls = (
+        counts_engine = (
             EnsembleCountsSequentialEngine if model == "sequential" else EnsembleCountsContinuousEngine
         )
-
-        def counts_engine(p):
-            return ensemble_cls(p, backend=backend)
-
     else:
-        single_cls = CountsSequentialEngine if model == "sequential" else CountsContinuousEngine
-
-        def counts_engine(p):
-            return single_cls(p)
+        counts_engine = CountsSequentialEngine if model == "sequential" else CountsContinuousEngine
 
     if isinstance(protocol, SequentialCountsProtocol):
         if not on_complete:

@@ -33,18 +33,6 @@ unchanged: sequential parallel time is exactly ``ticks / n`` (the same
 float grid as :class:`~repro.engine.sequential.SequentialEngine`), and
 stop conditions are evaluated on the ``check_every = n`` tick grid.
 
-Array backends
---------------
-The ``(R, m)`` count-matrix operations run through a pluggable
-:class:`~repro.core.backend.ArrayBackend` (constructor parameter
-``backend=``, default the ``REPRO_BACKEND`` environment selection).
-The numpy backend is a pass-through — every method aliases the exact
-numpy call these engines always made, so the exactness contract above
-is untouched.  The CuPy backend keeps the matrices device-resident
-while drawing variates from the same host generator stream, preserving
-each replication's law but not bitwise equality (float reductions
-reorder on device); ``tests/test_backend.py`` pins both claims.
-
 Masking and compaction
 ----------------------
 Replications finish at different times.  A replication is *retired* —
@@ -60,11 +48,10 @@ same ``n``), which is what makes one stacked draw per batch possible.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
-from ..core.backend import ArrayBackend, resolve_backend
 from ..core.colors import ColorConfiguration
 from ..core.exceptions import ConfigurationError
 from ..core.results import RunResult
@@ -88,11 +75,10 @@ def _stop_flags(stop: StopCondition, counts: np.ndarray) -> np.ndarray:
 
 def _draw_batch_ensemble(
     protocol: SequentialCountsProtocol,
-    states,
+    states: np.ndarray,
     b: int,
     n: int,
     rng: np.random.Generator,
-    backend: ArrayBackend,
 ) -> np.ndarray:
     """Advance every row of *states* by *b* ticks (frozen-rate batches).
 
@@ -104,31 +90,24 @@ def _draw_batch_ensemble(
     (recursing on the offending subset only, down to the always-valid
     ``b == 1``); with one row the call sequence is exactly the
     single-run helper's.
-
-    *states* lives in *backend* arrays; the transition matrices come
-    from the host-side protocol hook and the variates from the host
-    generator either way (see :mod:`repro.core.backend`), so the numpy
-    backend reproduces the historical call sequence verbatim.
     """
-    host_states = backend.to_host(states)
-    transition = np.asarray(protocol.tick_transition_matrices(host_states), dtype=float)
-    empty = host_states == 0
+    transition = np.asarray(protocol.tick_transition_matrices(states), dtype=float)
+    empty = states == 0
     if empty.any():
         # Empty classes never act, but every row of every slice must
         # still be a valid probability vector for the stacked draw.
         transition[empty] = 0.0
         rows, labels = np.nonzero(empty)
         transition[rows, labels, labels] = 1.0
-    actors = backend.multinomial(rng, b, host_states / n)
-    moved = backend.multinomial(rng, actors, backend.asarray(transition))
+    actors = rng.multinomial(b, states / n)
+    moved = rng.multinomial(actors, transition)
     new_states = states - actors + moved.sum(axis=1)
-    bad = backend.to_host(new_states.min(axis=1) < 0)
+    bad = new_states.min(axis=1) < 0
     if not bad.any():
         return new_states
     half = b // 2
-    keep_bad = backend.asarray(bad)
-    redo = _draw_batch_ensemble(protocol, states[keep_bad], half, n, rng, backend)
-    new_states[keep_bad] = _draw_batch_ensemble(protocol, redo, b - half, n, rng, backend)
+    redo = _draw_batch_ensemble(protocol, states[bad], half, n, rng)
+    new_states[bad] = _draw_batch_ensemble(protocol, redo, b - half, n, rng)
     return new_states
 
 
@@ -142,17 +121,12 @@ class EnsembleCountsEngine:
     hook.
     """
 
-    def __init__(
-        self,
-        protocol: EnsembleCountsProtocol,
-        backend: Union[None, str, ArrayBackend] = None,
-    ):
+    def __init__(self, protocol: EnsembleCountsProtocol):
         if not isinstance(protocol, EnsembleCountsProtocol):
             raise ConfigurationError(
                 f"{getattr(protocol, 'name', protocol)!r} has no ensemble round hooks"
             )
         self.protocol = protocol
-        self.backend = resolve_backend(backend)
 
     def run_ensemble(
         self,
@@ -171,9 +145,8 @@ class EnsembleCountsEngine:
             raise ConfigurationError(f"max_rounds must be non-negative, got {max_rounds}")
         rng = as_generator(seed)
         protocol = self.protocol
-        backend = self.backend
-        states = backend.asarray(protocol.init_ensemble(initial, n_reps), dtype=np.int64)
-        counts = np.asarray(protocol.color_counts_ensemble(backend.to_host(states)), dtype=np.int64)
+        states = np.asarray(protocol.init_ensemble(initial, n_reps), dtype=np.int64)
+        counts = np.asarray(protocol.color_counts_ensemble(states), dtype=np.int64)
         initial_counts = counts[0].copy()
         results: List[Optional[RunResult]] = [None] * n_reps
         rep_ids = np.arange(n_reps)
@@ -200,25 +173,22 @@ class EnsembleCountsEngine:
             done = np.flatnonzero(stops)
             retire(done, counts, stops[done], 0)
             keep = ~stops
-            states, rep_ids = states[backend.asarray(keep)], rep_ids[keep]
+            states, rep_ids = states[keep], rep_ids[keep]
         rounds = 0
         while rep_ids.size and rounds < max_rounds:
-            states = backend.asarray(
-                protocol.step_ensemble(backend.to_host(states), rng), dtype=np.int64
-            )
+            states = np.asarray(protocol.step_ensemble(states, rng), dtype=np.int64)
             rounds += 1
-            host_states = backend.to_host(states)
-            counts = np.asarray(protocol.color_counts_ensemble(host_states), dtype=np.int64)
+            counts = np.asarray(protocol.color_counts_ensemble(states), dtype=np.int64)
             stops = _stop_flags(stop, counts)
-            absorbed = np.asarray(protocol.is_absorbed_ensemble(host_states), dtype=bool) & ~stops
+            absorbed = np.asarray(protocol.is_absorbed_ensemble(states), dtype=bool) & ~stops
             done = stops | absorbed
             if done.any():
                 finished = np.flatnonzero(done)
                 retire(finished, counts, stops[finished], rounds)
                 keep = ~done
-                states, rep_ids = states[backend.asarray(keep)], rep_ids[keep]
+                states, rep_ids = states[keep], rep_ids[keep]
         if rep_ids.size:
-            counts = np.asarray(protocol.color_counts_ensemble(backend.to_host(states)), dtype=np.int64)
+            counts = np.asarray(protocol.color_counts_ensemble(states), dtype=np.int64)
             remaining = np.arange(rep_ids.size)
             retire(remaining, counts, np.zeros(rep_ids.size, dtype=bool), rounds)
         return results  # type: ignore[return-value]
@@ -240,7 +210,6 @@ class _EnsembleTickEngine:
         protocol: SequentialCountsProtocol,
         batch_ticks: Optional[int] = None,
         batch_fraction: float = _DEFAULT_BATCH_FRACTION,
-        backend: Union[None, str, ArrayBackend] = None,
     ):
         if batch_ticks is not None and batch_ticks < 1:
             raise ConfigurationError(f"batch_ticks must be positive, got {batch_ticks}")
@@ -249,7 +218,6 @@ class _EnsembleTickEngine:
         self.protocol = protocol
         self.batch_ticks = batch_ticks
         self.batch_fraction = batch_fraction
-        self.backend = resolve_backend(backend)
 
     def _resolve_batch(self, n: int) -> int:
         if self.batch_ticks is not None:
@@ -291,9 +259,8 @@ class _EnsembleTickEngine:
         batch = self._resolve_batch(n)
 
         protocol = self.protocol
-        backend = self.backend
-        states = backend.asarray(protocol.init_ensemble(initial, n_reps), dtype=np.int64)
-        counts = np.asarray(protocol.color_counts_ensemble(backend.to_host(states)), dtype=np.int64)
+        states = np.asarray(protocol.init_ensemble(initial, n_reps), dtype=np.int64)
+        counts = np.asarray(protocol.color_counts_ensemble(states), dtype=np.int64)
         initial_counts = counts[0].copy()
         results: List[Optional[RunResult]] = [None] * n_reps
         rep_ids = np.arange(n_reps)
@@ -321,7 +288,7 @@ class _EnsembleTickEngine:
 
         def compact(keep: np.ndarray) -> None:
             nonlocal states, rep_ids, times
-            states = states[backend.asarray(keep)]
+            states = states[keep]
             rep_ids, times = rep_ids[keep], times[keep]
 
         stops = _stop_flags(stop, counts)
@@ -336,22 +303,21 @@ class _EnsembleTickEngine:
                 # batch, with one final stop evaluation on its counts.
                 expired = times >= max_time
                 if expired.any():
-                    counts = np.asarray(protocol.color_counts_ensemble(backend.to_host(states)), dtype=np.int64)
+                    counts = np.asarray(protocol.color_counts_ensemble(states), dtype=np.int64)
                     done = np.flatnonzero(expired)
                     retire(done, counts, _stop_flags(stop, counts[done]))
                     compact(~expired)
                     if not rep_ids.size:
                         break
             b = min(batch, max_ticks - ticks, next_check - ticks)
-            states = _draw_batch_ensemble(protocol, states, b, n, rng, backend)
+            states = _draw_batch_ensemble(protocol, states, b, n, rng)
             ticks += b
             times = self._advance_clocks(times, ticks, b, rng, n)
             if ticks >= next_check:
                 next_check += check_every
-                host_states = backend.to_host(states)
-                counts = np.asarray(protocol.color_counts_ensemble(host_states), dtype=np.int64)
+                counts = np.asarray(protocol.color_counts_ensemble(states), dtype=np.int64)
                 stops = _stop_flags(stop, counts)
-                absorbed = np.asarray(protocol.is_absorbed_ensemble(host_states), dtype=bool) & ~stops
+                absorbed = np.asarray(protocol.is_absorbed_ensemble(states), dtype=bool) & ~stops
                 done = stops | absorbed
                 if done.any():
                     finished = np.flatnonzero(done)
@@ -360,7 +326,7 @@ class _EnsembleTickEngine:
         if rep_ids.size:
             # Budget ran out between grid checks: one final stop
             # evaluation, exactly like the single-run engines' epilogue.
-            counts = np.asarray(protocol.color_counts_ensemble(backend.to_host(states)), dtype=np.int64)
+            counts = np.asarray(protocol.color_counts_ensemble(states), dtype=np.int64)
             remaining = np.arange(rep_ids.size)
             retire(remaining, counts, _stop_flags(stop, counts))
         return results  # type: ignore[return-value]

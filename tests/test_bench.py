@@ -1,6 +1,10 @@
 """Tests for the bench harness plumbing: tables, store, harness, registry."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,9 @@ from repro.bench.harness import FULL, QUICK, ExperimentReport, ExperimentScale, 
 from repro.bench.store import ResultStore
 from repro.bench.tables import format_cell, format_table
 from repro.core.exceptions import ExperimentError
+from repro.core.hazard_kernel import KERNEL_NAMES
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestTables:
@@ -138,3 +145,40 @@ class TestTinyScaleSmoke:
         assert report.headers
         assert isinstance(report.checks, dict)
         assert report.elapsed_seconds >= 0
+
+
+_PERFBENCH_CONTRACT = """
+import json
+import tracing
+import worker
+from repro.core import hazard_kernel
+
+env = worker.probe_environment()
+original_apply = hazard_kernel.TickKernel.apply
+tracing.install(tracing.Tracer())
+print(json.dumps({
+    "backend": env["backend"],
+    "kernel": env["kernel"],
+    "apply_traced": hazard_kernel.TickKernel.apply is not original_apply,
+}))
+"""
+
+
+class TestPerfbenchImportContract:
+    """The benchmark harness under ``perfbench/`` imports the program by
+    name: the environment probe and the tracer must keep working, or
+    every benchmark pass breaks."""
+
+    def test_probe_and_tracer_install(self):
+        env = dict(os.environ)
+        env.pop("REPRO_KERNEL", None)
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+        proc = subprocess.run(
+            [sys.executable, "-c", _PERFBENCH_CONTRACT],
+            capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["backend"] == "numpy"
+        assert result["kernel"] in KERNEL_NAMES
+        assert result["apply_traced"]

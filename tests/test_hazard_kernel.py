@@ -17,9 +17,8 @@ Evidence layers for the kernel contract (see
    ``SparseSequentialEngine`` run is bit-identical whichever kernel
    applies the blocks.
 
-Compiled-kernel layers skip loudly when no C toolchain (and no numba)
-is present; the selection/fallback layers run everywhere by stubbing
-the builders.
+Compiled-kernel layers skip loudly when no C toolchain is present;
+the selection/fallback layers run everywhere by stubbing the builder.
 """
 
 import numpy as np
@@ -72,7 +71,7 @@ COMPILED_AVAILABLE = [
 
 needs_compiled = pytest.mark.skipif(
     not COMPILED_AVAILABLE,
-    reason="no compiled kernel available (no C toolchain and no numba) — "
+    reason="no compiled kernel available (no C toolchain) — "
     "numpy fallback covered by the selection tests",
 )
 
@@ -87,16 +86,14 @@ def _clean_kernel_env(monkeypatch):
 
 
 def _fail_builders(monkeypatch, detail="stubbed away"):
-    """Make every compiled kernel unavailable (fresh build caches)."""
+    """Make the compiled kernel unavailable (fresh build cache)."""
 
     def refuse():
         raise KernelUnavailable(detail)
 
-    monkeypatch.setattr(hazard_kernel, "_kernels", {})
-    monkeypatch.setattr(hazard_kernel, "_failures", {})
-    monkeypatch.setattr(
-        hazard_kernel, "_BUILDERS", {name: refuse for name in hazard_kernel._BUILDERS}
-    )
+    monkeypatch.setattr(hazard_kernel, "_built", None)
+    monkeypatch.setattr(hazard_kernel, "_failure", None)
+    monkeypatch.setattr(hazard_kernel, "_load_c_kernel", refuse)
 
 
 class TestSelection:
@@ -119,6 +116,16 @@ class TestSelection:
     def test_get_kernel_unknown_name_raises(self):
         with pytest.raises(ConfigurationError, match="unknown kernel"):
             get_kernel("fortran")
+
+    def test_numba_env_rejected(self, monkeypatch):
+        monkeypatch.setenv(KERNEL_ENV, "numba")
+        reset_active_kernel()
+        with pytest.raises(ConfigurationError, match="REPRO_KERNEL"):
+            active_kernel()
+
+    def test_get_kernel_numba_unknown(self):
+        with pytest.raises(ConfigurationError, match="unknown kernel"):
+            get_kernel("numba")
 
     def test_explicit_unavailable_get_kernel_raises(self, monkeypatch):
         _fail_builders(monkeypatch)
@@ -164,8 +171,8 @@ class TestSelection:
     def test_probe_always_lists_numpy(self):
         probes = available_kernels()
         assert probes["numpy"].available
-        assert set(probes) == {"numpy", "c", "numba"}
-        assert set(KERNEL_NAMES) == {"numpy", "c", "numba", "auto"}
+        assert set(probes) == {"numpy", "c"}
+        assert set(KERNEL_NAMES) == {"numpy", "c", "auto"}
 
 
 class TestCapabilityProbe:
@@ -173,19 +180,19 @@ class TestCapabilityProbe:
     def test_footprint_protocols_declare_known_rules(self, proto_cls):
         protocol = proto_cls()
         assert protocol.tick_kernel in RULE_IDS
-        assert TickKernel().supports(protocol)
+        assert TickKernel.supports(protocol)
 
     def test_no_rule_means_no_kernel(self):
         class Undeclared(TwoChoicesSequential):
             tick_kernel = None
 
-        assert not TickKernel().supports(Undeclared())
+        assert not TickKernel.supports(Undeclared())
 
     def test_rule_footprint_mismatch_refused(self):
         class Mismatched(TwoChoicesSequential):
             tick_kernel = "voter"  # voter samples 1, footprint says 2
 
-        assert not TickKernel().supports(Mismatched())
+        assert not TickKernel.supports(Mismatched())
 
     def test_kernel_for_returns_none_on_numpy(self):
         assert kernel_for(TwoChoicesSequential()) is None
