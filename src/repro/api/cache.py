@@ -38,9 +38,12 @@ from .spec import SimulationSpec
 
 __all__ = ["spec_key", "ResultCache"]
 
-#: Payload format version; bump when the entry layout changes so stale
-#: entries read as misses instead of mis-parsing.
-CACHE_FORMAT = 1
+#: Payload format version; bump when values for a spec change (a new
+#: RNG stream or draw layout in an engine) or when the entry layout
+#: changes, so stale entries read as misses instead of serving values
+#: the current code would not compute.  Format 2: the scalar exact
+#: one-tick chain of the counts tick engines.
+CACHE_FORMAT = 2
 
 
 def spec_key(spec: Union[SimulationSpec, Dict[str, Any]]) -> str:

@@ -4,9 +4,13 @@ Contract (DESIGN.md §2.10): a protocol that declares a
 ``tick_footprint`` (opting into hazard-batched execution) promises that
 ``tick_values`` is a pure function of ``(state, own, observed)`` — the
 engine pre-draws every sample, may evaluate ticks speculatively, and
-replays them across engines expecting identical values.  Mutating
-``self`` or an argument (**REPRO-P001**) or drawing fresh randomness
-(**REPRO-P002**) inside the hook silently de-synchronizes the engines.
+replays them across engines expecting identical values.  A counts
+protocol that declares ``tick_samples`` promises the same of its scalar
+``tick_rule(own, sampled, m)``: the counts tick engines draw every
+uniform themselves and replay one-replication ensembles value for
+value.  Mutating ``self`` or an argument (**REPRO-P001**) or drawing
+fresh randomness (**REPRO-P002**) inside either hook silently
+de-synchronizes the engines.
 
 **REPRO-P003** is the registry-signature audit: registered
 ``ParamSpec`` metadata must match what the factory actually accepts, so
@@ -42,12 +46,18 @@ _MUTATORS = {
 }
 
 
-def _footprint_classes(tree: ast.AST):
-    """(class, tick_values def) pairs for classes declaring a footprint."""
+#: pure hook -> the class attribute whose declaration opts a class in.
+_PURE_HOOKS = {"tick_values": "tick_footprint", "tick_rule": "tick_samples"}
+
+
+def _pure_hook_defs(tree: ast.AST):
+    """(class, hook def) pairs for the pure hooks of :data:`_PURE_HOOKS`:
+    ``tick_values`` of classes declaring a footprint, ``tick_rule`` of
+    classes declaring a sample count."""
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
-        declares = False
+        declared = set()
         for stmt in cls.body:
             if isinstance(stmt, ast.Assign):
                 names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
@@ -57,14 +67,10 @@ def _footprint_classes(tree: ast.AST):
                 value = stmt.value
             else:
                 continue
-            if "tick_footprint" in names and not (
-                isinstance(value, ast.Constant) and value.value is None
-            ):
-                declares = True  # the base class's `= None` opt-out is fine
-        if not declares:
-            continue
+            if not (isinstance(value, ast.Constant) and value.value is None):
+                declared.update(names)  # the base class's `= None` opt-out is fine
         for stmt in cls.body:
-            if isinstance(stmt, ast.FunctionDef) and stmt.name == "tick_values":
+            if isinstance(stmt, ast.FunctionDef) and _PURE_HOOKS.get(stmt.name) in declared:
                 yield cls, stmt
 
 
@@ -86,11 +92,11 @@ def _param_names(fn: ast.FunctionDef) -> Set[str]:
 
 @register_rule(
     "REPRO-P001",
-    "tick_values must not mutate self or its arguments",
+    "tick_values / tick_rule must not mutate self or their arguments",
 )
 def tick_values_no_mutation(ctx: ModuleContext) -> List[Finding]:
     out: List[Finding] = []
-    for cls, fn in _footprint_classes(ctx.tree):
+    for cls, fn in _pure_hook_defs(ctx.tree):
         frozen = _param_names(fn)
         for node in ast.walk(fn):
             targets: List[ast.AST] = []
@@ -108,7 +114,7 @@ def tick_values_no_mutation(ctx: ModuleContext) -> List[Finding]:
                             ctx.finding(
                                 "REPRO-P001",
                                 target,
-                                f"{cls.name}.tick_values mutates {root!r}; the hook "
+                                f"{cls.name}.{fn.name} mutates {root!r}; the hook "
                                 "must be pure (engines replay it speculatively)",
                             )
                         )
@@ -123,7 +129,7 @@ def tick_values_no_mutation(ctx: ModuleContext) -> List[Finding]:
                         ctx.finding(
                             "REPRO-P001",
                             node,
-                            f"{cls.name}.tick_values calls .{node.func.attr}() on "
+                            f"{cls.name}.{fn.name} calls .{node.func.attr}() on "
                             f"{root!r}; the hook must be pure",
                         )
                     )
@@ -132,11 +138,11 @@ def tick_values_no_mutation(ctx: ModuleContext) -> List[Finding]:
 
 @register_rule(
     "REPRO-P002",
-    "tick_values must not draw randomness",
+    "tick_values / tick_rule must not draw randomness",
 )
 def tick_values_no_draws(ctx: ModuleContext) -> List[Finding]:
     out: List[Finding] = []
-    for cls, fn in _footprint_classes(ctx.tree):
+    for cls, fn in _pure_hook_defs(ctx.tree):
         for node in ast.walk(fn):
             if not isinstance(node, ast.Call):
                 continue
@@ -149,8 +155,8 @@ def tick_values_no_draws(ctx: ModuleContext) -> List[Finding]:
                     ctx.finding(
                         "REPRO-P002",
                         node,
-                        f"{cls.name}.tick_values draws randomness; samples are "
-                        "pre-drawn by the engine and arrive in 'observed'",
+                        f"{cls.name}.{fn.name} draws randomness; samples are "
+                        "pre-drawn by the engine and arrive as arguments",
                     )
                 )
     return out

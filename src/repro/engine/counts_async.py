@@ -1,4 +1,4 @@
-"""Batched counts-level engines for the *asynchronous* models on ``K_n``.
+"""Counts-level engines for the *asynchronous* models on ``K_n``.
 
 The paper's headline theorems live in the sequential / Poisson-clock
 model, yet simulating that model one tick at a time costs O(1) Python
@@ -12,31 +12,51 @@ conditional law given the colour histogram ``c`` factors exactly:
    :meth:`~repro.protocols.base.SequentialCountsProtocol.tick_transition_matrix`).
 
 :class:`CountsSequentialEngine` advances that histogram chain in
-*batches* of ``B`` ticks: the batch's acting-node labels come from one
-multinomial over ``c / n``, and each label class's outcomes from one
-multinomial over its transition row — O(k^2) numpy work per batch
-instead of O(B) Python work.
+*batches* of ``B = max(1, round(n * batch_fraction))`` ticks, along one
+of two routes chosen by ``B``.
 
-Batch exactness
----------------
-With ``B = 1`` the batch *is* the exact single-tick chain: the actor
-label is drawn from ``c / n`` and its outcome from ``P[i]``, which is
-the factorisation above.  For ``B > 1`` the batch freezes the rates at
-the batch-start histogram, while the true chain lets every tick see the
-updates of the ticks before it.  Within a batch the histogram moves by
-at most ``B`` units, so each per-tick probability drifts by ``O(B / n)``
-and the batch law agrees with the tick chain up to a relative error of
-order ``B / n`` — the engine's default ``B = n * batch_fraction`` with
-``batch_fraction = 1/256`` keeps that error around 0.4%, far below the
-run-to-run noise of any convergence-time statistic (the cross-engine KS
-tests in ``tests/test_counts_async.py`` verify the agreement
-distributionally, and exactly at ``B = 1``).  Two guard rails keep the
-frozen-rate draw lawful:
+Scalar exact one-tick chain (``B = 1``, i.e. ``n <= 383`` by default)
+---------------------------------------------------------------------
+Every tick runs in one pure-Python loop over the label histogram: the
+actor label is read off the histogram at ``floor(u * n)``, the
+protocol's :attr:`~repro.protocols.base.SequentialCountsProtocol.tick_samples`
+sample labels at ``floor(u * (n - 1))`` of the histogram with the actor
+removed, and the protocol's scalar
+:meth:`~repro.protocols.base.SequentialCountsProtocol.tick_rule` names
+the actor's new label.  That is the factorisation above, tick by tick,
+so the route is law-exact (to the 2^-53 resolution of the uniforms).
+
+Draws are laid out by the stop-check grid and the tick budget only.  A
+*segment* of ``b`` ticks ends at the next stop check, at the tick
+budget, or after :data:`_SEGMENT_TICKS` ticks, whichever comes first;
+it draws ``rng.random(b * (1 + s))`` uniforms (``1 + s`` consecutive
+ones per tick) and then, in the Poisson-clock model,
+``rng.standard_exponential(b)`` inter-tick gaps (the clock advances by
+``gap / n`` per tick, and the time budget is checked before each tick).
+The ensemble twins draw ``(A, ...)`` arrays of the same shapes, so a
+one-replication ensemble replays the single run value for value; trace
+points are recorded inside a segment and do not move the layout.
+
+Frozen-rate tau-leap (``B > 1``)
+--------------------------------
+The batch's acting-node labels come from one multinomial over
+``c / n``, and each label class's outcomes from one multinomial over
+its transition row — O(k^2) numpy work per batch instead of O(B)
+Python work.  The batch freezes the rates at the batch-start
+histogram, while the true chain lets every tick see the updates of the
+ticks before it.  Within a batch the histogram moves by at most ``B``
+units, so each per-tick probability drifts by ``O(B / n)`` and the
+batch law agrees with the tick chain up to a relative error of order
+``B / n`` — the engine's default ``batch_fraction = 1/256`` keeps that
+error around 0.4%, far below the run-to-run noise of any
+convergence-time statistic (the cross-engine KS tests in
+``tests/test_counts_async.py`` verify the agreement distributionally).
+Two guard rails keep the frozen-rate draw lawful:
 
 * a batch that would overdraw a small label class (``c_i - out_i +
   in_i < 0`` for some ``i``) is discarded and re-drawn as two half
-  batches with refreshed rates, recursing down to the always-valid
-  ``B = 1``;
+  batches with refreshed rates, recursing down to one tick, which can
+  never overdraw;
 * stop conditions are still checked on the same ``check_every`` tick
   cadence as :class:`~repro.engine.sequential.SequentialEngine`, so
   recorded convergence times are quantised identically across engines.
@@ -54,7 +74,7 @@ i.i.d. ``Exp(n)`` superposition gaps — drawn exactly per batch, so its
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +89,74 @@ __all__ = ["CountsSequentialEngine", "CountsContinuousEngine"]
 
 #: default batch size as a fraction of n (see the exactness note above).
 _DEFAULT_BATCH_FRACTION = 1.0 / 256.0
+
+#: longest segment of the scalar one-tick chain; bounds its draw arrays
+#: when ``check_every`` is huge.
+_SEGMENT_TICKS = 1024
+
+
+def _segment_draws(
+    rng: np.random.Generator, reps: Optional[int], b: int, samples: int, poisson_clock: bool
+) -> Tuple[Any, Any]:
+    """Uniforms and (Poisson clock only) unit-exponential gaps of one
+    *b*-tick segment: flat lists for a single run (``reps=None``),
+    ``(reps, ...)`` arrays for an ensemble."""
+    lead = () if reps is None else (reps,)
+    draws = rng.random(lead + (b * (1 + samples),))
+    gaps = rng.standard_exponential(lead + (b,)) if poisson_clock else None
+    if reps is None:
+        return draws.tolist(), None if gaps is None else gaps.tolist()
+    return draws, gaps
+
+
+def _tick_chain(
+    rule: Callable[[int, Sequence[int], int], int],
+    samples: int,
+    hist: List[int],
+    n: int,
+    draws: List[float],
+    gaps: Optional[List[float]],
+    start: int,
+    stop: int,
+    time: float,
+    max_time: float,
+) -> Tuple[int, float]:
+    """Run ticks ``start .. stop - 1`` of a segment on *hist*, in place.
+
+    Tick ``t`` reads its ``1 + samples`` uniforms at ``draws[t * (1 +
+    samples):]``: the actor label at ``floor(u * n)`` of the histogram,
+    then each sample at ``floor(u * (n - 1))`` of the histogram with
+    the actor removed; ``floor(u * n) < n`` for every double ``u < 1``,
+    and the integer scan skips empty classes.  With *gaps* the clock
+    advances by ``gaps[t] / n`` per tick and stops before a tick once
+    it reaches *max_time*; without, the caller keeps the clock.
+    Returns the index of the first tick not run and the clock.
+    """
+    m = len(hist)
+    width = 1 + samples
+    nm1 = n - 1
+    for t in range(start, stop):
+        if time >= max_time:
+            return t, time
+        base = t * width
+        r = int(draws[base] * n)
+        actor = 0
+        while r >= hist[actor]:
+            r -= hist[actor]
+            actor += 1
+        hist[actor] -= 1
+        sampled = []
+        for u in draws[base + 1 : base + width]:
+            r = int(u * nm1)
+            label = 0
+            while r >= hist[label]:
+                r -= hist[label]
+                label += 1
+            sampled.append(label)
+        hist[rule(actor, sampled, m)] += 1
+        if gaps is not None:
+            time += gaps[t] / n
+    return stop, time
 
 
 def _draw_batch(
@@ -104,14 +192,15 @@ def _draw_batch(
 
 
 class _CountsTickEngine:
-    """Shared run loop of the batched tick engines.
+    """Shared run loop of the counts tick engines.
 
-    Subclasses define how wall-clock ``parallel_time`` relates to the
-    tick count (deterministic ``ticks / n`` for the sequential model,
-    ``Gamma(ticks) / n`` for the Poisson-clock model).
+    Subclasses set how wall-clock ``parallel_time`` relates to the tick
+    count: deterministic ``ticks / n`` in the sequential model, summed
+    ``Exp(n)`` gaps in the Poisson-clock model (``_poisson_clock``).
     """
 
     _engine_name = "counts-tick"
+    _poisson_clock = False
 
     def __init__(
         self,
@@ -132,17 +221,6 @@ class _CountsTickEngine:
             return self.batch_ticks
         return max(1, int(round(n * self.batch_fraction)))
 
-    def _advance_clock(self, time: float, total_ticks: int, b: int, rng: np.random.Generator, n: int) -> float:
-        """New wall-clock time after a batch of *b* ticks.
-
-        *total_ticks* is the tick count including the batch; the
-        sequential clock derives from it exactly so recorded parallel
-        times land on the same float grid as the agent engines'
-        (``ticks / n``), keeping cross-engine samples comparable
-        value-for-value.
-        """
-        raise NotImplementedError
-
     def _run(
         self,
         initial: ColorConfiguration,
@@ -154,7 +232,7 @@ class _CountsTickEngine:
         check_every: Optional[int],
         seed: SeedLike,
     ) -> RunResult:
-        """Run batched ticks until *stop* holds or a budget runs out.
+        """Run ticks until *stop* holds or a budget runs out.
 
         The initial state must be a :class:`ColorConfiguration` — the
         engine never materialises per-node colours.  ``rounds`` in the
@@ -176,6 +254,7 @@ class _CountsTickEngine:
         batch = self._resolve_batch(n)
 
         protocol = self.protocol
+        rule, samples = protocol.tick_rule, protocol.tick_samples
         counts_state = np.asarray(protocol.init_counts(initial), dtype=np.int64)
         counts = np.asarray(protocol.color_counts(counts_state), dtype=np.int64)
         initial_counts = counts.copy()
@@ -190,15 +269,37 @@ class _CountsTickEngine:
             trace.record(0.0, counts)
         converged = stop(counts)
         while not converged and ticks < max_ticks and time < max_time:
-            b = min(batch, max_ticks - ticks, next_check - ticks)
-            counts_state = _draw_batch(protocol, counts_state, b, n, rng)
-            ticks += b
-            time = self._advance_clock(time, ticks, b, rng, n)
-            if trace is not None and ticks >= next_trace:
-                counts = np.asarray(protocol.color_counts(counts_state), dtype=np.int64)
-                trace.record(time, counts)
-                while next_trace <= ticks:
-                    next_trace += trace_interval
+            if batch == 1:
+                # The scalar exact one-tick chain, split at trace points
+                # only (the draw layout never depends on tracing).
+                b = min(_SEGMENT_TICKS, max_ticks - ticks, next_check - ticks)
+                draws, gaps = _segment_draws(rng, None, b, samples, self._poisson_clock)
+                hist = counts_state.tolist()
+                start, done = ticks, 0
+                while done < b and time < max_time:
+                    end = b if trace is None else min(b, next_trace - start)
+                    done, time = _tick_chain(
+                        rule, samples, hist, n, draws, gaps, done, end, time, max_time
+                    )
+                    ticks = start + done
+                    if gaps is None:
+                        time = ticks / n
+                    if trace is not None and ticks >= next_trace:
+                        trace.record(time, protocol.color_counts(np.asarray(hist, dtype=np.int64)))
+                        next_trace += trace_interval
+                counts_state = np.asarray(hist, dtype=np.int64)
+            else:
+                b = min(batch, max_ticks - ticks, next_check - ticks)
+                counts_state = _draw_batch(protocol, counts_state, b, n, rng)
+                ticks += b
+                # The sequential clock derives from the tick count, so
+                # recorded times land on the agent engines' float grid.
+                time = time + float(rng.gamma(b)) / n if self._poisson_clock else ticks / n
+                if trace is not None and ticks >= next_trace:
+                    counts = np.asarray(protocol.color_counts(counts_state), dtype=np.int64)
+                    trace.record(time, counts)
+                    while next_trace <= ticks:
+                        next_trace += trace_interval
             if ticks >= next_check:
                 next_check += check_every
                 counts = np.asarray(protocol.color_counts(counts_state), dtype=np.int64)
@@ -226,7 +327,7 @@ class _CountsTickEngine:
 
 
 class CountsSequentialEngine(_CountsTickEngine):
-    """Batched counts-level driver for the sequential model on ``K_n``.
+    """Counts-level driver for the sequential model on ``K_n``.
 
     Parallel time is ``ticks / n``, exactly as in
     :class:`~repro.engine.sequential.SequentialEngine`, whose ``run``
@@ -235,9 +336,6 @@ class CountsSequentialEngine(_CountsTickEngine):
     """
 
     _engine_name = "counts-sequential"
-
-    def _advance_clock(self, time: float, total_ticks: int, b: int, rng: np.random.Generator, n: int) -> float:
-        return total_ticks / n
 
     def run(
         self,
@@ -257,20 +355,18 @@ class CountsSequentialEngine(_CountsTickEngine):
 
 
 class CountsContinuousEngine(_CountsTickEngine):
-    """Batched counts-level driver for the Poisson-clock model on ``K_n``.
+    """Counts-level driver for the Poisson-clock model on ``K_n``.
 
     By the superposition property, consecutive system ticks are
-    ``Exp(n)`` apart, so the clock advance over a batch of ``B`` ticks
-    is exactly ``Gamma(B) / n`` — drawn in one RNG call per batch.  The
-    tick *sequence* itself has the same law as the sequential model's,
-    so this engine shares its batch machinery and differs only in the
-    reported ``parallel_time``.
+    ``Exp(n)`` apart: the scalar chain adds one gap per tick, and a
+    tau-leap batch of ``B`` ticks adds their exact sum ``Gamma(B) / n``
+    in one RNG call.  The tick *sequence* itself has the same law as
+    the sequential model's, so this engine shares its machinery and
+    differs only in the reported ``parallel_time``.
     """
 
     _engine_name = "counts-continuous"
-
-    def _advance_clock(self, time: float, total_ticks: int, b: int, rng: np.random.Generator, n: int) -> float:
-        return time + float(rng.gamma(b)) / n
+    _poisson_clock = True
 
     def run(
         self,

@@ -55,11 +55,13 @@ Law sampled by each route:
 
 * ``CountsEngine`` and its ensemble twin sample the exact round chain.
 * The counts tick engines (``CountsSequentialEngine``,
-  ``CountsContinuousEngine`` and their ensemble twins) freeze rates
-  over batches of ``B = max(1, round(n / 256))`` ticks.  They are the
-  exact tick chain only when ``B = 1``, i.e. for ``n <= 383``; above
-  that they are a frozen-rate tau-leap with ``O(B / n)`` relative
-  error (DESIGN.md section 2.1).
+  ``CountsContinuousEngine`` and their ensemble twins) resolve a batch
+  size ``B = max(1, round(n / 256))``.  For ``B = 1``, i.e.
+  ``n <= 383``, they run the **scalar exact one-tick chain**: one
+  pure-Python tick at a time through the protocol's ``tick_rule``,
+  law-exact.  Above that they are a frozen-rate tau-leap over batches
+  of ``B`` ticks with ``O(B / n)`` relative error (DESIGN.md section
+  2.1).
 
 An ensemble twin samples each replication from the same law as its
 single-run engine (see :mod:`repro.engine.ensemble`).
@@ -110,8 +112,9 @@ def fastest_engine(
 ):
     """Build the fastest engine for *protocol* on *topology*.
 
-    The counts tick routes are exact only for ``n <= 383`` and a
-    frozen-rate tau-leap above (see the module docstring).
+    The counts tick routes run the scalar exact one-tick chain for
+    ``n <= 383`` and a frozen-rate tau-leap above (see the module
+    docstring).
 
     Parameters
     ----------

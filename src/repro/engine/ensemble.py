@@ -9,7 +9,11 @@ data — pure Python overhead.  The engines here amortise that overhead
 across the whole ensemble: the state is an ``(R, m)`` matrix of label
 histograms, one batch advances *every still-running replication* with
 the same number of numpy calls a single run would spend, and the numpy
-calls are stacked multinomials whose rows are drawn independently.
+calls are stacked multinomials whose rows are drawn independently.  At
+one-tick batches (``n <= 383`` by default) the tick engines instead run
+the scalar exact one-tick chain of :mod:`repro.engine.counts_async`:
+one stacked draw of uniforms (and Poisson gaps) per segment, then the
+scalar loop row by row.
 
 Exactness contract
 ------------------
@@ -17,7 +21,8 @@ Each replication's marginal law is *identical* to the corresponding
 single-run engine — not merely close:
 
 * row ``r`` of every stacked ``Generator.multinomial`` /
-  ``binomial`` / ``gamma`` call is an independent draw from exactly the
+  ``binomial`` / ``gamma`` / ``random`` / ``standard_exponential``
+  call is an independent draw from exactly the
   distribution the single-run engine would use for that replication's
   state, and
 * with ``R == 1`` the whole call sequence collapses to the single-run
@@ -58,7 +63,7 @@ from ..core.results import RunResult
 from ..core.rng import SeedLike, as_generator, spawn_seed_sequences, split
 from ..protocols.base import EnsembleCountsProtocol, SequentialCountsProtocol
 from .base import StopCondition, build_result, consensus_reached
-from .counts_async import _DEFAULT_BATCH_FRACTION
+from .counts_async import _DEFAULT_BATCH_FRACTION, _SEGMENT_TICKS, _segment_draws, _tick_chain
 
 __all__ = [
     "EnsembleCountsEngine",
@@ -197,13 +202,14 @@ class EnsembleCountsEngine:
 class _EnsembleTickEngine:
     """Shared run loop of the ensemble tick engines.
 
-    The batched-tick machinery of
+    The tick machinery of
     :class:`~repro.engine.counts_async._CountsTickEngine` lifted to an
-    ``(A, m)`` active-state matrix; subclasses define how the per-rep
-    wall clocks relate to the shared tick counter.
+    ``(A, m)`` active-state matrix; subclasses set how the per-rep wall
+    clocks relate to the shared tick counter (``_poisson_clock``).
     """
 
     _engine_name = "ensemble-counts-tick"
+    _poisson_clock = False
 
     def __init__(
         self,
@@ -223,13 +229,6 @@ class _EnsembleTickEngine:
         if self.batch_ticks is not None:
             return self.batch_ticks
         return max(1, int(round(n * self.batch_fraction)))
-
-    def _advance_clocks(
-        self, times: np.ndarray, total_ticks: int, b: int, rng: np.random.Generator, n: int
-    ) -> np.ndarray:
-        """Per-rep wall clocks after a batch of *b* ticks (see the
-        single-run engines for the grid/clock semantics)."""
-        raise NotImplementedError
 
     def _run_ensemble(
         self,
@@ -259,12 +258,15 @@ class _EnsembleTickEngine:
         batch = self._resolve_batch(n)
 
         protocol = self.protocol
+        rule, samples = protocol.tick_rule, protocol.tick_samples
         states = np.asarray(protocol.init_ensemble(initial, n_reps), dtype=np.int64)
         counts = np.asarray(protocol.color_counts_ensemble(states), dtype=np.int64)
         initial_counts = counts[0].copy()
         results: List[Optional[RunResult]] = [None] * n_reps
         rep_ids = np.arange(n_reps)
         times = np.zeros(n_reps)
+        # Per-rep tick counts: a Poisson clock may run out mid-segment.
+        rounds = np.zeros(n_reps, dtype=np.int64)
         ticks = 0
         next_check = check_every
 
@@ -275,7 +277,7 @@ class _EnsembleTickEngine:
                     converged=bool(flag),
                     initial_counts=initial_counts,
                     final_counts=counts_now[local],
-                    rounds=ticks,
+                    rounds=int(rounds[local]),
                     parallel_time=float(times[local]),
                     metadata={
                         "engine": self._engine_name,
@@ -287,9 +289,9 @@ class _EnsembleTickEngine:
                 )
 
         def compact(keep: np.ndarray) -> None:
-            nonlocal states, rep_ids, times
+            nonlocal states, rep_ids, times, rounds
             states = states[keep]
-            rep_ids, times = rep_ids[keep], times[keep]
+            rep_ids, times, rounds = rep_ids[keep], times[keep], rounds[keep]
 
         stops = _stop_flags(stop, counts)
         if stops.any():
@@ -300,7 +302,7 @@ class _EnsembleTickEngine:
             if np.isfinite(max_time):
                 # Mirror the single-run loop condition: a replication
                 # whose clock passed the budget stops *before* the next
-                # batch, with one final stop evaluation on its counts.
+                # segment, with one final stop evaluation on its counts.
                 expired = times >= max_time
                 if expired.any():
                     counts = np.asarray(protocol.color_counts_ensemble(states), dtype=np.int64)
@@ -309,10 +311,37 @@ class _EnsembleTickEngine:
                     compact(~expired)
                     if not rep_ids.size:
                         break
-            b = min(batch, max_ticks - ticks, next_check - ticks)
-            states = _draw_batch_ensemble(protocol, states, b, n, rng)
-            ticks += b
-            times = self._advance_clocks(times, ticks, b, rng, n)
+            if batch == 1:
+                b = min(_SEGMENT_TICKS, max_ticks - ticks, next_check - ticks)
+                draws, gaps = _segment_draws(rng, rep_ids.size, b, samples, self._poisson_clock)
+                hists = states.tolist()
+                for row, hist in enumerate(hists):
+                    done_ticks, times[row] = _tick_chain(
+                        rule,
+                        samples,
+                        hist,
+                        n,
+                        draws[row].tolist(),
+                        None if gaps is None else gaps[row].tolist(),
+                        0,
+                        b,
+                        float(times[row]),
+                        max_time,
+                    )
+                    rounds[row] = ticks + done_ticks
+                states = np.asarray(hists, dtype=np.int64)
+                ticks += b
+                if not self._poisson_clock:
+                    times = np.full(times.shape, ticks / n)
+            else:
+                b = min(batch, max_ticks - ticks, next_check - ticks)
+                states = _draw_batch_ensemble(protocol, states, b, n, rng)
+                ticks += b
+                rounds[:] = ticks
+                if self._poisson_clock:
+                    times = times + rng.gamma(np.full(times.shape, float(b))) / n
+                else:
+                    times = np.full(times.shape, ticks / n)
             if ticks >= next_check:
                 next_check += check_every
                 counts = np.asarray(protocol.color_counts_ensemble(states), dtype=np.int64)
@@ -342,11 +371,6 @@ class EnsembleCountsSequentialEngine(_EnsembleTickEngine):
 
     _engine_name = "ensemble-counts-sequential"
 
-    def _advance_clocks(
-        self, times: np.ndarray, total_ticks: int, b: int, rng: np.random.Generator, n: int
-    ) -> np.ndarray:
-        return np.full(times.shape, total_ticks / n)
-
     def run_ensemble(
         self,
         initial: ColorConfiguration,
@@ -366,17 +390,13 @@ class EnsembleCountsSequentialEngine(_EnsembleTickEngine):
 class EnsembleCountsContinuousEngine(_EnsembleTickEngine):
     """Ensemble twin of :class:`~repro.engine.counts_async.CountsContinuousEngine`.
 
-    Each replication carries its own Poisson wall clock: one stacked
-    ``Gamma(B) / n`` draw per batch advances every active clock by its
-    own exact superposition gap sum.
+    Each replication carries its own Poisson wall clock: its own row of
+    per-tick gaps in the scalar chain, or one stacked ``Gamma(B) / n``
+    draw per tau-leap batch.
     """
 
     _engine_name = "ensemble-counts-continuous"
-
-    def _advance_clocks(
-        self, times: np.ndarray, total_ticks: int, b: int, rng: np.random.Generator, n: int
-    ) -> np.ndarray:
-        return times + rng.gamma(np.full(times.shape, float(b))) / n
+    _poisson_clock = True
 
     def run_ensemble(
         self,

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -373,12 +373,13 @@ class SequentialCountsProtocol(_EnsembleStateHooks, ABC):
     2. given ``i``, the node ends the tick with label ``j`` with
        probability ``P[i, j]`` — a function of ``c`` alone.
 
-    Implementations supply the row-stochastic matrix ``P`` via
-    :meth:`tick_transition_matrix`; the engines in
-    :mod:`repro.engine.counts_async` compose it into exact single-tick
-    chains (batch size 1) or frozen-rate batched multinomial updates
-    (the fast path — see the module docstring for the exactness
-    argument and the error budget of batching).
+    Implementations supply the law twice: as the row-stochastic matrix
+    ``P`` (:meth:`tick_transition_matrix`), which the engines in
+    :mod:`repro.engine.counts_async` use for frozen-rate batched
+    multinomial updates (see the module docstring for the error budget
+    of batching), and as the scalar rule (:attr:`tick_samples`,
+    :meth:`tick_rule`) that the scalar exact one-tick chain applies
+    tick by tick.  The rule must reproduce ``P``'s law.
 
     The label space may be wider than the colour space (Undecided-State
     appends an "undecided" bucket); :meth:`color_counts` projects the
@@ -401,6 +402,26 @@ class SequentialCountsProtocol(_EnsembleStateHooks, ABC):
         content is ignored — the engines overwrite them with identity
         rows before sampling, so implementations need not special-case
         them.
+        """
+
+    @property
+    @abstractmethod
+    def tick_samples(self) -> int:
+        """Labels ``s`` one tick samples, i.i.d. and with replacement,
+        from the histogram with the acting node removed (a class
+        attribute in every implementation)."""
+
+    @abstractmethod
+    def tick_rule(self, own: int, sampled: Sequence[int], m: int) -> int:
+        """Label an acting node with label *own* ends the tick with,
+        given its :attr:`tick_samples` *sampled* labels; *m* is the
+        width of the label histogram.
+
+        Drawing *own* from ``c / n`` and each sample from the
+        self-excluded histogram, the outcome must follow row ``own`` of
+        :meth:`tick_transition_matrix`.  The rule must be **pure**: no
+        mutation of ``self`` or the arguments and no RNG (the engine
+        draws every uniform; lint rules REPRO-P001/P002).
         """
 
     def color_counts(self, counts: np.ndarray) -> np.ndarray:

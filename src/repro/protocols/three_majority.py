@@ -16,6 +16,8 @@ where ``S2 = sum_a q_a^2`` — the three terms are "all three ``j``",
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..api.registry import register_protocol
@@ -172,6 +174,13 @@ class ThreeMajoritySequentialCounts(SequentialCountsProtocol):
     """
 
     name = "three-majority/seq-counts"
+    tick_samples = 3
+
+    def tick_rule(self, own: int, sampled: Sequence[int], m: int) -> int:
+        # Majority with first-sample tie-break: the second sample wins
+        # only when it pairs with the third.
+        first, second, third = sampled
+        return second if second == third else first
 
     def init_counts(self, config: ColorConfiguration) -> np.ndarray:
         return np.asarray(config.counts, dtype=np.int64)

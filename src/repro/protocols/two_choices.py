@@ -25,7 +25,7 @@ Three interchangeable realisations are provided:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -186,6 +186,10 @@ class TwoChoicesSequentialCounts(SequentialCountsProtocol):
     """
 
     name = "two-choices/seq-counts"
+    tick_samples = 2
+
+    def tick_rule(self, own: int, sampled: Sequence[int], m: int) -> int:
+        return sampled[0] if sampled[0] == sampled[1] else own
 
     def init_counts(self, config: ColorConfiguration) -> np.ndarray:
         return np.asarray(config.counts, dtype=np.int64)

@@ -21,7 +21,7 @@ should check for it (``is_absorbed`` does).
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -233,6 +233,16 @@ class UndecidedStateSequentialCounts(SequentialCountsProtocol):
     """
 
     name = "undecided-state/seq-counts"
+    tick_samples = 1
+
+    def tick_rule(self, own: int, sampled: Sequence[int], m: int) -> int:
+        # An undecided node adopts whatever it sees; a decided node that
+        # sees a different decided colour clashes and turns undecided.
+        undecided = m - 1
+        seen = sampled[0]
+        if own == undecided:
+            return seen
+        return undecided if seen != undecided and seen != own else own
 
     def init_counts(self, config: ColorConfiguration) -> np.ndarray:
         return np.asarray(list(config.counts) + [0], dtype=np.int64)

@@ -11,6 +11,8 @@ implementation (experiment T11).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..api.registry import register_protocol
@@ -124,6 +126,10 @@ class VoterSequentialCounts(SequentialCountsProtocol):
     """
 
     name = "voter/seq-counts"
+    tick_samples = 1
+
+    def tick_rule(self, own: int, sampled: Sequence[int], m: int) -> int:
+        return sampled[0]
 
     def init_counts(self, config: ColorConfiguration) -> np.ndarray:
         return np.asarray(config.counts, dtype=np.int64)

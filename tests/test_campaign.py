@@ -24,6 +24,7 @@ from repro.api import (
     spec_key,
 )
 from repro.api import executors as executors_module
+from repro.api.cache import CACHE_FORMAT
 from repro.core.exceptions import ConfigurationError, ExperimentError
 
 
@@ -377,10 +378,23 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         path = cache.put(spec, simulate(spec))
         path.write_text(
-            json.dumps({"format": 1, "key": path.stem, "result": result_value}),
+            json.dumps({"format": CACHE_FORMAT, "key": path.stem, "result": result_value}),
             encoding="utf-8",
         )
         assert cache.get(spec) is None
+
+    def test_older_format_reads_as_miss(self, tmp_path):
+        # A format-1 entry holds values computed before the counts tick
+        # engines' scalar one-tick chain; it must never be served.
+        spec = _base(seed=3)
+        cache = ResultCache(tmp_path)
+        path = cache.put(spec, simulate(spec))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["format"] == CACHE_FORMAT == 2
+        payload["format"] = 1
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert cache.get(spec) is None
+        assert spec not in cache
 
     def test_spec_mismatch_raises(self, tmp_path):
         cache = ResultCache(tmp_path)

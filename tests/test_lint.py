@@ -362,6 +362,12 @@ class Proto:
 """
 
 
+_RULE_HEADER = """
+class CountsProto:
+    tick_samples = 2
+"""
+
+
 class TestPurityRules:
     def test_p001_self_mutation_hit(self):
         code = _PURITY_HEADER + """
@@ -411,6 +417,48 @@ class TestPurityRules:
     def tick_values(self, state, own, observed):
         return self.rng.integers(2)  # repro: lint-ignore[REPRO-P002] fixture
 """
+        assert run_lint(code) == []
+
+    def test_p001_tick_rule_argument_mutation_hit(self):
+        code = _RULE_HEADER + """
+    def tick_rule(self, own, sampled, m):
+        sampled.append(own)
+        return sampled[0]
+"""
+        assert "REPRO-P001" in run_lint(code)
+
+    def test_p001_tick_rule_self_mutation_hit(self):
+        code = _RULE_HEADER + """
+    def tick_rule(self, own, sampled, m):
+        self.last = own
+        return own
+"""
+        assert "REPRO-P001" in run_lint(code)
+
+    def test_p002_tick_rule_rng_draw_hit(self):
+        code = _RULE_HEADER + """
+    def tick_rule(self, own, sampled, m):
+        return sampled[self.rng.integers(2)]
+"""
+        assert "REPRO-P002" in run_lint(code)
+
+    def test_tick_rule_local_work_clean(self):
+        code = _RULE_HEADER + """
+    def tick_rule(self, own, sampled, m):
+        first, second = sampled
+        labels = [first, second]
+        labels.sort()
+        return first if first == second else own
+"""
+        assert run_lint(code) == []
+
+    def test_tick_rule_without_sample_count_not_checked(self):
+        code = """
+        class Other:
+            def tick_rule(self, own, sampled, m):
+                self.last = own
+                return own
+        """
         assert run_lint(code) == []
 
     def test_p003_signature_mismatch_detected(self):
